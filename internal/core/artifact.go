@@ -171,7 +171,9 @@ type changeOutcome struct {
 func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange) (*changeOutcome, resilience.Phase, error) {
 	st := d.opts.Artifacts
 	k := artifact.NewKey(artifact.KindAnalysis, d.optFP, cc.Old, cc.New)
+	led := false
 	v, err := st.Do(artifact.KindAnalysis, k, func() (any, error) {
+		led = true
 		if av, ok := st.Get(artifact.KindAnalysis, k, decodeChangeArtifact); ok {
 			return &changeOutcome{art: av.(*changeArtifact)}, nil
 		}
@@ -194,7 +196,14 @@ func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange) (*
 		}
 		return nil, resilience.PhaseAnalyze, err
 	}
-	return v.(*changeOutcome), "", nil
+	oc := v.(*changeOutcome)
+	if !led && oc.old == nil {
+		// A duplicate that waited on a leader which found the artifact
+		// stored books its own lookup, so a warm run counts one hit per
+		// change at any worker count, as on the sequential path.
+		st.Get(artifact.KindAnalysis, k, decodeChangeArtifact)
+	}
+	return oc, "", nil
 }
 
 // ---------------------------------------------------------------------------

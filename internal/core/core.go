@@ -361,6 +361,7 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 // instantiates its cached extraction (stamping this change's meta);
 // otherwise the extraction runs live on the analysis results.
 func (d *DiffCode) ExtractClass(a *AnalyzedChange, class string) []change.UsageChange {
+	d.opts.Metrics.Counter("extract.runs").Inc()
 	if a.art != nil {
 		return a.art.instantiate(class, a.Meta)
 	}
@@ -413,24 +414,32 @@ func (d *DiffCode) RunClass(analyzed []*AnalyzedChange, class string) ClassPipel
 // RunClassCtx is RunClass with trace propagation: the extract and filter
 // stages appear as child spans carrying the class name and survivor counts.
 func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, class string) ClassPipelineResult {
+	r, _, _ := d.runClass(ctx, analyzed, class)
+	return r
+}
+
+// runClass is RunClassCtx that also returns every extracted usage change
+// before filtering, grouped by input slot: all[ends[i-1]:ends[i]] came from
+// analyzed[i] (empty for a nil slot, a change not using the class, or one
+// whose extraction was skipped).
+func (d *DiffCode) runClass(ctx context.Context, analyzed []*AnalyzedChange, class string) (r ClassPipelineResult, all []change.UsageChange, ends []int) {
 	reg := d.opts.Metrics
-	var all []change.UsageChange
+	ends = make([]int, len(analyzed))
 	_, xsp := trace.Start(ctx, "extract")
 	xsp.SetAttr("class", class)
 	esp := reg.StartSpanTask("extract", class)
-	for _, a := range analyzed {
-		if a == nil || !a.UsesClass(class) {
-			continue
+	for i, a := range analyzed {
+		if a != nil && a.UsesClass(class) {
+			task := fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
+			err := resilience.Guard(task, func() error {
+				all = append(all, d.ExtractClass(a, class)...)
+				return nil
+			})
+			if err != nil {
+				d.ledger.Record(resilience.NewEntry(task, resilience.PhaseExtract, err))
+			}
 		}
-		a := a
-		task := fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
-		err := resilience.Guard(task, func() error {
-			all = append(all, d.ExtractClass(a, class)...)
-			return nil
-		})
-		if err != nil {
-			d.ledger.Record(resilience.NewEntry(task, resilience.PhaseExtract, err))
-		}
+		ends[i] = len(all)
 	}
 	esp.End()
 	xsp.SetAttr("usage_changes", fmt.Sprint(len(all)))
@@ -445,7 +454,7 @@ func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, 
 	psp.End()
 	reg.Counter("filter.usage_changes").Add(int64(stats.Total))
 	reg.Counter("filter.survivors").Add(int64(len(kept)))
-	return ClassPipelineResult{Class: class, Stats: stats, Survivors: kept}
+	return ClassPipelineResult{Class: class, Stats: stats, Survivors: kept}, all, ends
 }
 
 // ClusterChanges builds the dendrogram over semantic usage changes

@@ -146,13 +146,15 @@ func minSwapDist(eng *distcache.Engine, a, b ElicitedRule) float64 {
 // commits produced it (the pre-fdup view; a commit touching several objects
 // of the class identically still counts once).
 func (e *Evaluation) changeMultiplicity(class string) map[string]int {
+	r := e.classResult(class)
 	counts := map[string]int{}
-	for _, a := range e.Analyzed {
-		if !a.UsesClass(class) {
+	for i := range e.Analyzed {
+		ucs := r.of(i)
+		if len(ucs) == 0 {
 			continue
 		}
 		perCommit := map[string]bool{}
-		for _, c := range e.DiffCode.ExtractClass(a, class) {
+		for _, c := range ucs {
 			if c.IsSame() || c.IsAddOnly() || c.IsRemoveOnly() {
 				continue
 			}

@@ -19,14 +19,39 @@ import (
 )
 
 // Evaluation bundles a mined-and-analyzed corpus so that several figures
-// can be regenerated without re-running the expensive analysis.
+// can be regenerated without re-running the expensive analysis. Each
+// class's usage changes are extracted once, in the guarded pass behind
+// Figure 6, and every later figure reads them from there; Figure 10's
+// check is computed once and shared. All methods are safe for concurrent
+// use.
 type Evaluation struct {
 	DiffCode *DiffCode
 	Corpus   *corpus.Corpus
 	Analyzed []*AnalyzedChange
 
-	classOnce sync.Mutex
-	classRes  map[string]*ClassPipelineResult
+	classMu  sync.Mutex
+	classRes map[string]*classRun
+
+	fig10Once sync.Once
+	fig10     *Figure10Result
+}
+
+// classRun is one class's extract-once result: the filtering outcome plus
+// every usage change the pass extracted, grouped by entry of Analyzed.
+type classRun struct {
+	ClassPipelineResult
+	all  []change.UsageChange
+	ends []int
+}
+
+// of returns the usage changes extracted from Analyzed[i] — empty when the
+// change does not use the class or its extraction was skipped.
+func (r *classRun) of(i int) []change.UsageChange {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1]
+	}
+	return r.all[start:r.ends[i]]
 }
 
 // NewEvaluation mines and analyzes the corpus once.
@@ -48,20 +73,24 @@ func NewEvaluationCtx(ctx context.Context, c *corpus.Corpus, opts Options) *Eval
 		DiffCode: d,
 		Corpus:   c,
 		Analyzed: d.MineCorpusCtx(ctx, c),
-		classRes: map[string]*ClassPipelineResult{},
 	}
 }
 
-// classResult memoizes per-class pipeline runs.
-func (e *Evaluation) classResult(class string) *ClassPipelineResult {
-	e.classOnce.Lock()
-	defer e.classOnce.Unlock()
+// classResult runs the class pipeline over Analyzed the first time a class
+// is asked for and keeps the result.
+func (e *Evaluation) classResult(class string) *classRun {
+	e.classMu.Lock()
+	defer e.classMu.Unlock()
 	if r, ok := e.classRes[class]; ok {
 		return r
 	}
-	r := e.DiffCode.RunClass(e.Analyzed, class)
-	e.classRes[class] = &r
-	return &r
+	if e.classRes == nil {
+		e.classRes = map[string]*classRun{}
+	}
+	r := &classRun{}
+	r.ClassPipelineResult, r.all, r.ends = e.DiffCode.runClass(context.Background(), e.Analyzed, class)
+	e.classRes[class] = r
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -106,33 +135,36 @@ type Figure7Row struct {
 	Remaining int
 }
 
-// Figure7Data computes the classification table backing Figure 7.
+// figure7Types is the row order of each rule's block in Figure 7.
+var figure7Types = []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic}
+
+// Figure7Data computes the classification table backing Figure 7: every
+// change that yielded usage changes of a CryptoLint rule's class is
+// classified once against that rule, and its usage changes are charged to
+// the filter that removes them; the survivors of fsame, fadd and frem are
+// deduplicated per (rule, type) for fdup.
 func (e *Evaluation) Figure7Data() []Figure7Row {
-	type key struct {
-		rule string
-		typ  rules.ChangeType
-	}
-	acc := map[key]*Figure7Row{}
-	get := func(rule string, typ rules.ChangeType) *Figure7Row {
-		k := key{rule, typ}
-		if r, ok := acc[k]; ok {
-			return r
-		}
-		r := &Figure7Row{Rule: rule, Type: typ}
-		acc[k] = r
-		return r
-	}
+	var out []Figure7Row
 	for _, cl := range rules.CryptoLint() {
-		class := cl.Clauses[0].Class
-		for _, a := range e.Analyzed {
-			if !a.UsesClass(class) {
+		r := e.classResult(cl.Clauses[0].Class)
+		var rows [3]Figure7Row // indexed by rules.ChangeType
+		for _, typ := range figure7Types {
+			rows[typ] = Figure7Row{Rule: cl.ID, Type: typ}
+		}
+		type dupKey struct {
+			typ rules.ChangeType
+			key string
+		}
+		seen := map[dupKey]bool{}
+		for i, a := range e.Analyzed {
+			ucs := r.of(i)
+			if len(ucs) == 0 {
 				continue
 			}
 			typ := rules.Classify(cl, a.Old, a.New, rules.Context{})
-			ucs := e.DiffCode.ExtractClass(a, class)
-			row := get(cl.ID, typ)
-			for i := range ucs {
-				c := &ucs[i]
+			row := &rows[typ]
+			for j := range ucs {
+				c := &ucs[j]
 				row.Total++
 				switch {
 				case c.IsSame():
@@ -142,44 +174,18 @@ func (e *Evaluation) Figure7Data() []Figure7Row {
 				case c.IsRemoveOnly():
 					row.ByFrem++
 				default:
-					row.Remaining++ // fdup handled below per rule+type
-				}
-			}
-		}
-	}
-	// Deduplicate the survivors per (rule, type) to account for fdup.
-	for _, cl := range rules.CryptoLint() {
-		class := cl.Clauses[0].Class
-		for _, typ := range []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic} {
-			row := get(cl.ID, typ)
-			seen := map[string]bool{}
-			unique := 0
-			for _, a := range e.Analyzed {
-				if !a.UsesClass(class) {
-					continue
-				}
-				if rules.Classify(cl, a.Old, a.New, rules.Context{}) != typ {
-					continue
-				}
-				for _, c := range e.DiffCode.ExtractClass(a, class) {
-					if c.IsSame() || c.IsAddOnly() || c.IsRemoveOnly() {
-						continue
-					}
-					k := c.Key()
-					if !seen[k] {
+					k := dupKey{typ, c.Key()}
+					if seen[k] {
+						row.ByFdup++
+					} else {
 						seen[k] = true
-						unique++
+						row.Remaining++
 					}
 				}
 			}
-			row.ByFdup = row.Remaining - unique
-			row.Remaining = unique
 		}
-	}
-	var out []Figure7Row
-	for _, cl := range rules.CryptoLint() {
-		for _, typ := range []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic} {
-			out = append(out, *get(cl.ID, typ))
+		for _, typ := range figure7Types {
+			out = append(out, rows[typ])
 		}
 	}
 	return out
@@ -328,9 +334,11 @@ type Figure10Result struct {
 	ViolatedAtLeastOne int
 }
 
-// Figure10 runs CryptoChecker over every project snapshot.
+// Figure10 runs CryptoChecker over every project snapshot, once per
+// Evaluation; every call returns the same (read-only) result.
 func (e *Evaluation) Figure10() *Figure10Result {
-	return CheckCorpus(e.Corpus, e.DiffCode.Options())
+	e.fig10Once.Do(func() { e.fig10 = CheckCorpus(e.Corpus, e.DiffCode.Options()) })
+	return e.fig10
 }
 
 // CheckCorpus evaluates the 13 rules over all project snapshots of a

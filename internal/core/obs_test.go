@@ -74,6 +74,7 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"  analysis.changes_analyzed                         2",
 		"  analysis.runs                                     4",
 		"  analysis.steps                                   32",
+		"  extract.runs                                      2",
 		"  extract.usage_changes                             2",
 		"  filter.survivors                                  1",
 		"  filter.usage_changes                              2",

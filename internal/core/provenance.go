@@ -14,12 +14,10 @@ import (
 // concrete commits and patches behind it.
 func (e *Evaluation) Provenance(c change.UsageChange) []*AnalyzedChange {
 	key := c.Key()
+	r := e.classResult(c.Class)
 	var out []*AnalyzedChange
-	for _, a := range e.Analyzed {
-		if !a.UsesClass(c.Class) {
-			continue
-		}
-		for _, uc := range e.DiffCode.ExtractClass(a, c.Class) {
+	for i, a := range e.Analyzed {
+		for _, uc := range r.of(i) {
 			if uc.Key() == key {
 				out = append(out, a)
 				break

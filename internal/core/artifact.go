@@ -316,7 +316,9 @@ func (c *CryptoChecker) checkOutcome(ctx context.Context, sources map[string]str
 		return c.checkLive(ctx, sources, rctx, why)
 	}
 	k := c.checkKey(sources, rctx, why)
+	led := false
 	v, err := st.Do(artifact.KindCheck, k, func() (any, error) {
+		led = true
 		if av, ok := st.Get(artifact.KindCheck, k, decodeCheckArtifact); ok {
 			return &checkFlight{art: av.(*checkArtifact)}, nil
 		}
@@ -334,6 +336,11 @@ func (c *CryptoChecker) checkOutcome(ctx context.Context, sources map[string]str
 	f := v.(*checkFlight)
 	if f.out != nil {
 		return f.out, nil
+	}
+	if !led {
+		// A waiter on a leader that found the outcome stored books its own
+		// lookup, as in analyzedOutcome: one hit per warm request.
+		st.Get(artifact.KindCheck, k, decodeCheckArtifact)
 	}
 	return c.reconstructCheck(f.art), nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/change"
@@ -258,5 +260,90 @@ func TestArtifactInvalidationRuleMutation(t *testing.T) {
 	again, hits, misses := checkRun(t, dir, nil)
 	if again != cold || hits != 1 || misses != 0 {
 		t.Errorf("restored rules: output %q hits/misses %d/%d, want %q 1/0", again, hits, misses, cold)
+	}
+}
+
+// TestCheckSingleFlightWarmHits pins one artifact.check.hits per warm
+// /v1/check request, including duplicates that waited on their key's
+// single-flight leader instead of looking the outcome up themselves. Two
+// phases, at one and at four checker workers: concurrent duplicates behind
+// a leader held in flight until every one of them is waiting (so the waiter
+// path is always taken), then an unstaged burst of concurrent duplicates.
+// Run under -race in CI.
+func TestCheckSingleFlightWarmHits(t *testing.T) {
+	const dup = 8
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			st := artifact.New(artifact.Config{Metrics: reg})
+			checker := NewChecker(nil, Options{Workers: workers, Metrics: reg, Artifacts: st})
+			srcs := checkerSources()
+			cold, err := checker.CheckRequest(context.Background(), srcs, rules.Context{}, false)
+			if err != nil {
+				t.Fatalf("cold CheckRequest: %v", err)
+			}
+			counter := func(name string) int64 { return obs.TakeSnapshot(reg, false).Counters[name] }
+			burst := func() {
+				var wg sync.WaitGroup
+				for i := 0; i < dup; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						out, err := checker.CheckRequest(context.Background(), srcs, rules.Context{}, false)
+						if err != nil {
+							t.Errorf("warm CheckRequest: %v", err)
+							return
+						}
+						if len(out.Violations) != len(cold.Violations) {
+							t.Errorf("warm check found %d violations, cold %d", len(out.Violations), len(cold.Violations))
+						}
+					}()
+				}
+				wg.Wait()
+			}
+
+			// Staged: hold the key's flight open, as a leader still looking
+			// the outcome up would, until all duplicates wait on it.
+			k := checker.checkKey(srcs, rules.Context{}, false)
+			hits0, shared0 := counter("artifact.check.hits"), counter("artifact.singleflight.shared")
+			entered, release, led := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(led)
+				_, err := st.Do(artifact.KindCheck, k, func() (any, error) {
+					close(entered)
+					<-release
+					av, ok := st.Get(artifact.KindCheck, k, decodeCheckArtifact)
+					if !ok {
+						return nil, fmt.Errorf("warm outcome missing from the store")
+					}
+					return &checkFlight{art: av.(*checkArtifact)}, nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+			<-entered
+			done := make(chan struct{})
+			go func() { burst(); close(done) }()
+			for counter("artifact.singleflight.shared")-shared0 < dup {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			<-led
+			<-done
+			if got := counter("artifact.check.hits") - hits0; got != dup+1 {
+				t.Errorf("staged: %d check hits for %d waiters and their leader, want %d", got, dup, dup+1)
+			}
+
+			// Unstaged: whichever requests overlap, each books one hit.
+			hits1 := counter("artifact.check.hits")
+			burst()
+			if got := counter("artifact.check.hits") - hits1; got != dup {
+				t.Errorf("burst: %d check hits for %d warm requests, want %d", got, dup, dup)
+			}
+			if got := counter("artifact.check.misses"); got != 1 {
+				t.Errorf("check misses = %d, want 1 (the cold request)", got)
+			}
+		})
 	}
 }

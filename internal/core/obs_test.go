@@ -66,10 +66,10 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 
 	want := strings.Join([]string{
 		"stage            runs      total       mean        p50        p90        max  slowest",
-		"analyze             2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
-		"extract             1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
-		"filter              1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
-		"parse               2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"analyze             2        2ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
+		"extract             1        1ms        1ms        1ms        1ms        1ms  Cipher",
+		"filter              1        1ms        1ms        1ms        1ms        1ms  Cipher",
+		"parse               2        2ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
 		"counters",
 		"  analysis.changes_analyzed                         2",
 		"  analysis.runs                                     4",

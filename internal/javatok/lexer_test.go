@@ -1,6 +1,7 @@
 package javatok
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -359,5 +360,20 @@ func TestIsKeywordTable(t *testing.T) {
 		if IsKeyword(id) {
 			t.Errorf("IsKeyword(%q) = true", id)
 		}
+	}
+}
+
+// Unicode escapes are decoded inside literals only; elsewhere the backslash
+// is an Illegal token and the escape's letters lex as an identifier.
+func TestUnicodeEscapeOutsideLiteral(t *testing.T) {
+	toks := Tokenize(`int \u0061bc`)
+	want := []Token{
+		{Kind: Keyword, Text: "int", Pos: Pos{Offset: 0, Line: 1, Col: 1}},
+		{Kind: Illegal, Text: `\`, Pos: Pos{Offset: 4, Line: 1, Col: 5}},
+		{Kind: Ident, Text: "u0061bc", Pos: Pos{Offset: 5, Line: 1, Col: 6}},
+		{Kind: EOF, Pos: Pos{Offset: 12, Line: 1, Col: 13}},
+	}
+	if !reflect.DeepEqual(toks, want) {
+		t.Errorf("got %v, want %v", toks, want)
 	}
 }

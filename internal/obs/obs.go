@@ -308,7 +308,9 @@ func (h *Histogram) Sum() int64 {
 
 // Quantile returns the upper bucket bound at or below which at least
 // q (0..1) of the observations fall — a conservative estimate with
-// power-of-two resolution. Returns 0 for an empty histogram.
+// power-of-two resolution — clamped to the observed minimum and maximum,
+// so it never reports a value outside the data. Returns 0 for an empty
+// histogram.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
@@ -321,12 +323,14 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if target < 1 {
 		target = 1
 	}
+	v := BucketBound(numBuckets)
 	var cum int64
 	for i := 0; i <= numBuckets; i++ {
 		cum += h.buckets[i].Load()
 		if cum >= target {
-			return BucketBound(i)
+			v = BucketBound(i)
+			break
 		}
 	}
-	return BucketBound(numBuckets)
+	return min(max(v, h.min.Load()), h.max.Load())
 }

@@ -78,13 +78,14 @@ func TestHistogramQuantiles(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	// Conservative power-of-two bounds: p50 of 1..100 falls in the <=64
-	// bucket, p90+ in <=128.
+	// Conservative power-of-two bounds clamped to [min, max]: p50 of
+	// 1..100 falls in the <=64 bucket, p99 in <=128, which the maximum
+	// (100) caps.
 	if got := h.Quantile(0.5); got != 64 {
 		t.Errorf("p50 = %d, want 64", got)
 	}
-	if got := h.Quantile(0.99); got != 128 {
-		t.Errorf("p99 = %d, want 128", got)
+	if got := h.Quantile(0.99); got != 100 {
+		t.Errorf("p99 = %d, want 100", got)
 	}
 	if h.Sum() != 5050 {
 		t.Errorf("sum = %d", h.Sum())
@@ -92,6 +93,25 @@ func TestHistogramQuantiles(t *testing.T) {
 	h.Observe(-7) // clamps to zero
 	if h.min.Load() != 0 {
 		t.Errorf("min after negative observe = %d", h.min.Load())
+	}
+}
+
+// A quantile never lies outside the observed range, even where its
+// power-of-two bucket bound would.
+func TestHistogramQuantileClampedToRange(t *testing.T) {
+	h := newHistogram()
+	for _, v := range []int64{300, 400, 450} { // all in the <=512 bucket
+		h.Observe(v)
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got := h.Quantile(q); got != 450 {
+			t.Errorf("Quantile(%v) = %d, want the maximum 450", q, got)
+		}
+	}
+	h = newHistogram()
+	h.Observe(1 << 40) // past the last regular bucket
+	if got := h.Quantile(0.5); got != 1<<40 {
+		t.Errorf("overflow Quantile(0.5) = %d, want %d", got, int64(1)<<40)
 	}
 }
 
@@ -152,14 +172,14 @@ func TestSummaryGolden(t *testing.T) {
 
 	want := strings.Join([]string{
 		"stage            runs      total       mean        p50        p90        max  slowest",
-		"analyze             2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"analyze             2        2ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
 		"counters",
 		"  analysis.steps                                 1000",
 		"  mining.changes_mined                              2",
 		"gauges",
 		"  workers                                           1",
 		"distributions",
-		"  analysis.steps_per_change              n=2 sum=1000 min=500 p50=512 p90=512 max=500",
+		"  analysis.steps_per_change              n=2 sum=1000 min=500 p50=500 p90=500 max=500",
 		"",
 	}, "\n")
 	if got := r.Summary(); got != want {

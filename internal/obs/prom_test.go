@@ -19,8 +19,8 @@ func TestSnapshotQuantilesAndExemplar(t *testing.T) {
 	if hs.P50 != 16 || hs.P90 != 16 {
 		t.Errorf("P50/P90 = %d/%d, want 16/16", hs.P50, hs.P90)
 	}
-	if hs.P99 != 8192 {
-		t.Errorf("P99 = %d, want 8192", hs.P99)
+	if hs.P99 != 5000 { // bucket le=8192, clamped to the maximum
+		t.Errorf("P99 = %d, want 5000", hs.P99)
 	}
 	if hs.Exemplar != "deadbeef00000001" {
 		t.Errorf("Exemplar = %q", hs.Exemplar)

@@ -1,10 +1,11 @@
 package diffcode
 
 // Benchmarks for memoized per-method summaries (DESIGN.md §14). The number
-// that matters is the on/off ratio on a helper-heavy program: with
-// summaries off, the interpreter re-inlines every helper body at every call
-// site in every fork (the re-inlining tax); with summaries on, each unique
-// (method, arguments, context) executes once and replays everywhere else.
+// that matters is the on/off ratio on a helper-heavy program: "off" means
+// no summary table, so the interpreter re-executes every helper body live
+// at every call site in every fork (the re-inlining tax) under the same
+// cycle detection; with a table, each unique (method, arguments, context)
+// executes once and replays everywhere else.
 //
 //	make bench-summary         # writes BENCH_summary.json
 //
@@ -74,8 +75,8 @@ func benchSummaryAt(src string, summaries bool) func(*testing.B) {
 	}
 }
 
-// BenchmarkSummaries compares the summaries-off interpreter with the
-// memoizing one on the helper-heavy workload. The spread is the re-inlining
+// BenchmarkSummaries compares table-free live execution with the memoizing
+// interpreter on the helper-heavy workload. The spread is the re-inlining
 // tax: every call past the first replays a recorded effect triple instead
 // of re-interpreting the helper body.
 func BenchmarkSummaries(b *testing.B) {
@@ -85,12 +86,12 @@ func BenchmarkSummaries(b *testing.B) {
 	}
 }
 
-// TestWriteBenchSummary snapshots the summaries-off and summaries-on
-// timings and their ratio into BENCH_summary.json (diffcode-metrics/v1
-// schema). The speedup gauge is in thousandths: 5000 means the memoized
-// interpreter is 5x faster. Acceptance (asserted here, not just recorded):
-// speedup_milli >= 3000 on the helper-heavy workload, and the memoized run
-// reports more hits than misses. Skips unless BENCH_SUMMARY_OUT is set.
+// TestWriteBenchSummary snapshots the table-free and memoized timings and
+// their ratio into BENCH_summary.json (diffcode-metrics/v1 schema). The
+// speedup gauge is in thousandths: 5000 means the memoized interpreter is
+// 5x faster. Acceptance (asserted here, not just recorded): speedup_milli
+// >= 3000 on the helper-heavy workload, and the memoized run reports more
+// hits than misses. Skips unless BENCH_SUMMARY_OUT is set.
 func TestWriteBenchSummary(t *testing.T) {
 	out := os.Getenv("BENCH_SUMMARY_OUT")
 	if out == "" {

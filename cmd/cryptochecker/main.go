@@ -181,13 +181,10 @@ func main() {
 	sp := run.Reg.StartSpan("check")
 	err = resilience.Guard("analyze", func() error {
 		var aerr error
+		// Method summaries share the tool's artifact store, so a warm
+		// -cache-dir re-check replays helpers instead of re-interpreting.
 		aopts := analysis.Options{Budget: resilience.NewBudget(*budget, 0), Metrics: run.Reg,
-			Provenance: why.On(), MaxInline: std.MaxInline()}
-		if std.Summaries() {
-			// Method summaries share the tool's artifact store, so a warm
-			// -cache-dir re-check replays helpers instead of re-interpreting.
-			aopts.Summaries = summary.NewTable(store, run.Reg)
-		}
+			Provenance: why.On(), Summaries: summary.NewTable(store, run.Reg)}
 		res, aerr = analysis.AnalyzeBudgetedCtx(tctx, analysis.ParseProgramStoreCtx(tctx, sources, run.Reg, pool, store),
 			aopts)
 		return aerr

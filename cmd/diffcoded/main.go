@@ -72,12 +72,10 @@ func main() {
 		tracer = trace.New()
 	}
 	copts := core.Options{
-		BudgetSteps:      *budget,
-		Workers:          std.Workers(),
-		Metrics:          reg,
-		DisableSummaries: !std.Summaries(),
+		BudgetSteps: *budget,
+		Workers:     std.Workers(),
+		Metrics:     reg,
 	}
-	copts.Analysis.MaxInline = std.MaxInline()
 	// The rule-pack gate: -rules packs must lint before the server binds
 	// (exit 2 on error findings unless -rules-lax). The pack paths stay
 	// with the server for hot reload — SIGHUP or POST /v1/rules/reload

@@ -108,13 +108,11 @@ func main() {
 		Metrics:          run.Reg,
 		Workers:          std.Workers(),
 		DisableDistCache: !std.DistCache(),
-		DisableSummaries: !std.Summaries(),
 		// -cache-dir wires the artifact store through the checker paths
 		// (Figure 10, -trend); the evaluation harness itself strips it
 		// (NewEvaluationCtx needs live analysis results for Figure 7).
 		Artifacts: std.Artifacts(run.Reg),
 	}
-	opts.Analysis.MaxInline = std.MaxInline()
 
 	start := time.Now()
 	gsp := troot.Child("generate")

@@ -3,6 +3,8 @@ package diffcode
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestPublicAPIPaperExample drives the whole public surface on the paper's
@@ -44,6 +46,16 @@ func TestPublicAPIPaperExample(t *testing.T) {
 	}
 	if ok, _ := rule.Matches(newRes, RuleContext{}); ok {
 		t.Error("suggested rule flags the fixed version")
+	}
+}
+
+// TestAnalyzeUsagesHonoursOptions: the facade hands its options to the
+// analyzer, so a registry in Options.Metrics sees the run.
+func TestAnalyzeUsagesHonoursOptions(t *testing.T) {
+	reg := obs.NewRegistry()
+	AnalyzeUsages(benchOld, Options{Metrics: reg})
+	if n := reg.Counter("analysis.runs").Value(); n != 1 {
+		t.Errorf("analysis.runs = %d, want 1", n)
 	}
 }
 

@@ -30,14 +30,15 @@ package analysis
 // frames (depth is deliberately outside the key; putting it in would
 // fragment the table per call depth).
 //
-// Cycle policy: with summaries on, the MaxInline depth cliff is replaced by
-// cycle detection — a recursive call (direct or through a SCC) widens to
-// the callee's ⊤ return, which is a post-fixpoint of the recursive
-// equation, so convergence is immediate. A recording whose execution hit
-// the guard against a method *outside* its own frame records that method as
-// an OuterGuard: the entry is replayed only under callers that still have
-// it on the stack (and, dually, never while any method the recording
-// executed as a fresh frame is on the stack).
+// Cycle policy: interprocedural reach is bounded by cycle detection alone —
+// a recursive call (direct or through a SCC) widens to the callee's ⊤
+// return, which is a post-fixpoint of the recursive equation, so
+// convergence is immediate. Live and memoized execution share this policy,
+// which is what makes the table an exact cache. A recording whose execution
+// hit the guard against a method *outside* its own frame records that
+// method as an OuterGuard: the entry is replayed only under callers that
+// still have it on the stack (and, dually, never while any method the
+// recording executed as a fresh frame is on the stack).
 
 import (
 	"fmt"
@@ -51,10 +52,10 @@ import (
 	"repro/internal/summary"
 )
 
-// maxLiftedInline is the backstop inlining bound with summaries on. Cycle
-// detection already bounds the stack by the number of distinct methods;
-// this only guards degenerate programs with thousands of distinct nested
-// calls (the step budget remains the real safety valve).
+// maxLiftedInline is the backstop inlining bound. Cycle detection already
+// bounds the stack by the number of distinct methods; this only guards
+// degenerate programs with thousands of distinct nested calls (the step
+// budget remains the real safety valve).
 const maxLiftedInline = 512
 
 // recEvent is one teed pre-dedup event attempt.
@@ -109,8 +110,9 @@ func (an *analyzer) markExecuted(m *javaast.MethodDecl) {
 }
 
 // noteCycle records that a call to m hit the recursion guard: summary.cycles
-// telemetry, plus an OuterGuard mark on every recording that began after m
-// was pushed (the widening depended on stack context outside that frame).
+// telemetry (skipped without a table — Table.Cycle is nil-safe), plus an
+// OuterGuard mark on every recording that began after m was pushed (the
+// widening depended on stack context outside that frame).
 func (an *analyzer) noteCycle(stackIdx int, m *javaast.MethodDecl) {
 	an.sums.Cycle()
 	for _, r := range an.recs {
@@ -121,13 +123,13 @@ func (an *analyzer) noteCycle(stackIdx int, m *javaast.MethodDecl) {
 	}
 }
 
-// inlineMemo is inlineCall's summaries path: consult the table, replay on a
+// inlineMemo is inlineCall's memoized path: consult the table, replay on a
 // valid hit, otherwise execute live under a fresh recording and memoize the
 // result.
-func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State, depth int) absdom.Value {
+func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	key, ok := an.summaryKey(ci, m, args, st)
 	if !ok {
-		return an.inlineLive(ci, m, args, st, depth)
+		return an.inlineLive(ci, m, args, st)
 	}
 	if rs := an.lookupSummary(key); rs != nil && an.summaryValid(rs) {
 		an.sums.Hit()
@@ -141,7 +143,7 @@ func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absd
 		outerIn:    map[*javaast.MethodDecl]bool{},
 	}
 	an.recs = append(an.recs, rec)
-	ret := an.inlineLive(ci, m, args, st, depth)
+	ret := an.inlineLive(ci, m, args, st)
 	// On a budget panic the unwind abandons the partial recording with the
 	// analyzer — entries are only ever inserted for completed executions.
 	an.recs = an.recs[:len(an.recs)-1]

@@ -25,19 +25,21 @@ func renderResult(r *Result) string {
 	return sb.String()
 }
 
-// analyzeWith runs src twice — summaries off and on (fresh table) — and
-// fails the test unless the results are identical. It returns the
-// summaries-on rendering and the registry that collected summary.* counters.
+// analyzeWith runs src twice — without a summary table (every callee runs
+// live) and with a fresh one — and fails the test unless the results are
+// identical: both runs share one cycle-detection semantics, so the table
+// may only change how often callees execute. It returns the memoized
+// rendering and the registry that collected summary.* counters.
 func analyzeWith(t *testing.T, src string) (string, *obs.Registry) {
 	t.Helper()
-	off := renderResult(AnalyzeSource(src, Options{}))
+	live := renderResult(AnalyzeSource(src, Options{}))
 	reg := obs.NewRegistry()
 	tbl := summary.NewTable(nil, reg)
-	on := renderResult(AnalyzeSource(src, Options{Summaries: tbl}))
-	if on != off {
-		t.Errorf("summaries-on result diverges from summaries-off:\n--- off ---\n%s--- on ---\n%s", off, on)
+	memo := renderResult(AnalyzeSource(src, Options{Summaries: tbl}))
+	if memo != live {
+		t.Errorf("memoized result diverges from live execution:\n--- live ---\n%s--- memo ---\n%s", live, memo)
 	}
-	return on, reg
+	return memo, reg
 }
 
 const helperForkSrc = `
@@ -111,12 +113,7 @@ func TestSummaryPersistedThroughArtifactStore(t *testing.T) {
 	}
 }
 
-// TestSummaryRecursionWidensToTop: a directly recursive helper must
-// converge via the cycle guard (widening to the callee's declared-type Top)
-// instead of looping, must count summary.cycles, and must produce exactly
-// the summaries-off result.
-func TestSummaryRecursionWidensToTop(t *testing.T) {
-	src := `
+const recursionSrc = `
 class C {
     void run() {
         Cipher c = Cipher.getInstance(depth("AES", 3));
@@ -129,17 +126,19 @@ class C {
     }
 }
 `
-	_, reg := analyzeWith(t, src)
+
+// TestSummaryRecursionWidensToTop: a directly recursive helper must
+// converge via the cycle guard (widening to the callee's declared-type Top)
+// instead of looping, must count summary.cycles, and must produce exactly
+// the live-execution result.
+func TestSummaryRecursionWidensToTop(t *testing.T) {
+	_, reg := analyzeWith(t, recursionSrc)
 	if cy := reg.Counter("summary.cycles").Value(); cy < 1 {
 		t.Errorf("summary.cycles = %d, want >= 1 (depth recurses)", cy)
 	}
 }
 
-// TestSummaryMutualRecursion: a two-method recursive SCC converges the same
-// way — each member's recursive re-entry widens, the pair still analyzes,
-// and results match the summaries-off interpreter.
-func TestSummaryMutualRecursion(t *testing.T) {
-	src := `
+const mutualRecursionSrc = `
 class C {
     void run() {
         Cipher c = Cipher.getInstance(ping("AES"));
@@ -153,18 +152,22 @@ class C {
     }
 }
 `
-	_, reg := analyzeWith(t, src)
+
+// TestSummaryMutualRecursion: a two-method recursive SCC converges the same
+// way — each member's recursive re-entry widens, the pair still analyzes,
+// and results match live execution.
+func TestSummaryMutualRecursion(t *testing.T) {
+	_, reg := analyzeWith(t, mutualRecursionSrc)
 	if cy := reg.Counter("summary.cycles").Value(); cy < 1 {
 		t.Errorf("summary.cycles = %d, want >= 1 (ping/pong form a recursive SCC)", cy)
 	}
 }
 
 // deepChainSrc threads the weak algorithm constant "DES" through a six-deep
-// helper chain before it reaches Cipher.getInstance. At the default
-// MaxInline of 4 the legacy interpreter abandons the chain at h4, so the
-// sink only ever runs in the unexecuted-method sweep with Top parameters —
-// the misuse is invisible. Summaries replace the depth cliff with cycle
-// detection, so the constant flows all the way down.
+// helper chain before it reaches Cipher.getInstance. A fixed inlining depth
+// bound of 4 would abandon the chain at h4 and leave the sink to the
+// unexecuted-method sweep with Top parameters; cycle detection bounds reach
+// only by recursion, so the constant flows all the way down.
 const deepChainSrc = `
 class Deep {
     void entry() {
@@ -181,40 +184,17 @@ class Deep {
 }
 `
 
-// TestSummaryLiftsDepthCliff pins the motivating behavior change: the
-// depth-6 DES misuse is undetectable under the MaxInline=4 cliff and
-// detected with summaries on.
+// TestSummaryLiftsDepthCliff pins the interprocedural reach: the depth-6
+// DES misuse is detected, with and without a summary table.
 func TestSummaryLiftsDepthCliff(t *testing.T) {
-	off := AnalyzeSource(deepChainSrc, Options{})
-	ciphers := off.ObjsOfType("Cipher")
-	if len(ciphers) != 1 {
-		t.Fatalf("summaries-off cipher objects = %d, want 1 (the sweep still reaches h6)", len(ciphers))
-	}
-	if findEvent(off, ciphers[0], `Cipher.getInstance "DES"`) {
-		t.Fatalf("summaries-off unexpectedly sees the DES constant at depth 6: %v", evKeys(off, ciphers[0]))
-	}
-
+	analyzeWith(t, deepChainSrc)
 	on := AnalyzeSource(deepChainSrc, Options{Summaries: summary.NewTable(nil, obs.NewRegistry())})
-	ciphers = on.ObjsOfType("Cipher")
-	if len(ciphers) != 1 {
-		t.Fatalf("summaries-on cipher objects = %d, want 1", len(ciphers))
-	}
-	if !findEvent(on, ciphers[0], `Cipher.getInstance "DES"`) {
-		t.Errorf("summaries-on misses the DES constant at depth 6: %v", evKeys(on, ciphers[0]))
-	}
-}
-
-// TestSummaryDepthCliffRespectsMaxInlineOff re-pins the legacy contract:
-// with summaries off, raising -max-inline past the chain depth is the only
-// way to see through it.
-func TestSummaryDepthCliffRespectsMaxInlineOff(t *testing.T) {
-	r := AnalyzeSource(deepChainSrc, Options{MaxInline: 8})
-	ciphers := r.ObjsOfType("Cipher")
+	ciphers := on.ObjsOfType("Cipher")
 	if len(ciphers) != 1 {
 		t.Fatalf("cipher objects = %d, want 1", len(ciphers))
 	}
-	if !findEvent(r, ciphers[0], `Cipher.getInstance "DES"`) {
-		t.Errorf("MaxInline=8 without summaries misses the constant: %v", evKeys(r, ciphers[0]))
+	if !findEvent(on, ciphers[0], `Cipher.getInstance "DES"`) {
+		t.Errorf("misses the DES constant at depth 6: %v", evKeys(on, ciphers[0]))
 	}
 }
 
@@ -231,8 +211,8 @@ func TestSummaryEquivalenceOnPaperExamples(t *testing.T) {
 }
 
 // TestSummaryProvenanceStillLiftsDepth: with provenance on, memoization is
-// disabled (entries carry no provenance) but the depth lift must still
-// apply, so -why and plain runs agree on which violations exist.
+// disabled (entries carry no provenance) but reach is the same cycle-bounded
+// reach, so -why and plain runs agree on which violations exist.
 func TestSummaryProvenanceStillLiftsDepth(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := AnalyzeSource(deepChainSrc, Options{
@@ -283,8 +263,8 @@ class C {
 // TestSummaryOuterGuardPropagatesThroughReplay is the regression test for
 // guard inheritance across replays: a summary recorded while replaying a
 // cycle-dependent summary must itself be cycle-dependent, so calling the
-// outer helper without the cycle on the stack executes live and matches the
-// summaries-off interpreter exactly.
+// outer helper without the cycle on the stack executes live and matches
+// table-free execution exactly.
 func TestSummaryOuterGuardPropagatesThroughReplay(t *testing.T) {
 	_, reg := analyzeWith(t, outerGuardSrc)
 	if cy := reg.Counter("summary.cycles").Value(); cy < 1 {

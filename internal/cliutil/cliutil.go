@@ -43,41 +43,12 @@ func CacheDirFlag() *string {
 		"persist content-addressed artifacts (parsed ASTs, analysis results, check outcomes) under this directory; warm re-runs recompute only what changed (empty = in-memory only)")
 }
 
-// MaxInlineFlag registers the uniform -max-inline flag on the default flag
-// set: the call-inlining depth bound of the abstract interpreter (the
-// paper's §5.1 bound, default 4). With -summaries on the bound is lifted —
-// summary-based analysis reaches past it via cycle detection — so the flag
-// mainly shapes -summaries=false runs.
-func MaxInlineFlag() *int {
-	return flag.Int("max-inline", 4,
-		"call-inlining depth bound of the abstract interpreter (with -summaries on, reach extends past it; 0 applies the default)")
-}
-
-// SummariesFlag registers the uniform -summaries flag on the default flag
-// set. On by default: callees are memoized as per-method summaries and
-// interprocedural reach is bounded by cycle detection instead of
-// -max-inline. -summaries=false restores the exact re-inlining interpreter.
-func SummariesFlag() *bool {
-	return flag.Bool("summaries", true,
-		"memoize per-method summaries (interpret each helper once per distinct abstract input, reach past -max-inline); -summaries=false re-inlines every call")
-}
-
 // ValidateWorkers checks a -workers value: every worker pool needs at least
 // one worker, so N < 1 is a usage error (0 does not mean "auto" at the CLI
 // — the auto default is already the flag's default value).
 func ValidateWorkers(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-workers must be at least 1 (got %d)", n)
-	}
-	return nil
-}
-
-// ValidateMaxInline checks a -max-inline value: negative depths are a usage
-// error (0 means "use the analyzer default", mirroring the library zero
-// value; the -workers pattern of validating at parse time applies).
-func ValidateMaxInline(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-max-inline must be non-negative (got %d)", n)
 	}
 	return nil
 }
@@ -106,8 +77,6 @@ type Standard struct {
 	distCache *bool
 	trace     *TraceMode
 	cacheDir  *string
-	maxInline *int
-	summaries *bool
 	rulePacks *[]string
 	rulesLax  *bool
 }
@@ -122,8 +91,6 @@ func StandardFlags(tool string) *Standard {
 		distCache: DistCacheFlag(),
 		trace:     TraceFlag(),
 		cacheDir:  CacheDirFlag(),
-		maxInline: MaxInlineFlag(),
-		summaries: SummariesFlag(),
 		rulePacks: RulePacksFlag(),
 		rulesLax:  RulesLaxFlag(),
 	}
@@ -134,9 +101,6 @@ func StandardFlags(tool string) *Standard {
 func (s *Standard) Parse() {
 	flag.Parse()
 	if err := ValidateWorkers(*s.workers); err != nil {
-		UsageError(s.tool, "%v", err)
-	}
-	if err := ValidateMaxInline(*s.maxInline); err != nil {
 		UsageError(s.tool, "%v", err)
 	}
 }
@@ -158,12 +122,6 @@ func (s *Standard) Trace() TraceMode { return *s.trace }
 
 // CacheDir returns the -cache-dir value ("" = in-memory artifacts only).
 func (s *Standard) CacheDir() string { return *s.cacheDir }
-
-// MaxInline returns the validated -max-inline value (0 = analyzer default).
-func (s *Standard) MaxInline() int { return *s.maxInline }
-
-// Summaries reports whether memoized per-method summaries are enabled.
-func (s *Standard) Summaries() bool { return *s.summaries }
 
 // Artifacts builds the tool's artifact store from -cache-dir: disk-backed
 // when a directory was given, in-memory otherwise. Every CLI run gets a

@@ -76,20 +76,11 @@ type Options struct {
 	// Output is byte-identical with the store on or off; only how often
 	// the parser, interpreter, and checker run changes.
 	Artifacts *artifact.Store
-	// DisableSummaries turns off memoized per-method summaries (the
-	// -summaries=false CLI toggle) and restores the exact legacy
-	// interpreter: every callee re-inlined at every call site, reach
-	// bounded by Analysis.MaxInline. With summaries on (the default) hot
-	// helpers are interpreted once per distinct abstract input and the
-	// depth bound is lifted (cycle detection replaces it), so results can
-	// legitimately differ on programs with helper chains deeper than
-	// MaxInline — the two modes therefore address distinct analysis
-	// artifacts.
-	DisableSummaries bool
 	// Summaries, when non-nil, is the shared summary table of this run;
 	// nil (the default) makes New/NewChecker build one over
-	// Artifacts/Metrics unless DisableSummaries is set. A server passes
-	// one process-lifetime table so requests share summaries in memory.
+	// Artifacts/Metrics. A server passes one process-lifetime table so
+	// requests share summaries in memory. The table is an exact memo:
+	// output is the same whichever table is attached.
 	Summaries *summary.Table
 }
 
@@ -108,9 +99,7 @@ func (o Options) withDefaults() Options {
 	if o.Analysis.Metrics == nil {
 		o.Analysis.Metrics = o.Metrics
 	}
-	if o.DisableSummaries {
-		o.Summaries = nil
-	} else if o.Summaries == nil {
+	if o.Summaries == nil {
 		o.Summaries = summary.NewTable(o.Artifacts, o.Metrics)
 	}
 	o.Analysis.Summaries = o.Summaries

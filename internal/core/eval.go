@@ -467,6 +467,12 @@ func (e *Evaluation) SortedSurvivors(class string) []change.UsageChange {
 	return out
 }
 
+// AnalyzeSource runs the analyzer over one source under the pipeline's
+// options: analyzer limits, Metrics and the summary table all apply.
+func AnalyzeSource(src string, opts Options) *analysis.Result {
+	return analysis.AnalyzeSource(src, opts.withDefaults().Analysis)
+}
+
 // BuildDAGs exposes usage-DAG construction at the facade level (used by
 // the quickstart example).
 func BuildDAGs(src string, class string, opts Options) []*usage.Graph {

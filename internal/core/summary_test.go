@@ -9,32 +9,34 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/rules"
+	"repro/internal/summary"
 	"repro/internal/witness"
 )
 
 // TestDeterminismSummariesOnOff pins the acceptance contract of the summary
 // layer: the whole observable mining pipeline — mined changes, filter stats,
-// survivors, dendrograms, ledger — is byte-identical with summaries enabled
-// (the default) and disabled, at workers 1, 2, and 8. Summaries change how
-// often the interpreter executes a callee, never what an execution observes.
+// survivors, dendrograms, ledger — is byte-identical to the cold workers-1
+// run at workers 1, 2, and 8, both on a fresh summary table and on one
+// warmed by the previous run. Summaries change how often the interpreter
+// executes a callee, never what an execution observes.
 func TestDeterminismSummariesOnOff(t *testing.T) {
 	c := determinismCorpus()
-	want := pipelineFingerprint(t, c, Options{Workers: 1, DisableSummaries: true})
+	want := pipelineFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "survivor") {
 		t.Fatalf("corpus produced no survivors; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if got := pipelineFingerprint(t, c, Options{Workers: w}); got != want {
-			t.Errorf("workers=%d: summaries-on pipeline fingerprint differs from summaries-off\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
+		tbl := summary.NewTable(nil, nil)
+		if got := pipelineFingerprint(t, c, Options{Workers: w, Summaries: tbl}); got != want {
+			t.Errorf("workers=%d: cold pipeline fingerprint differs from workers=1\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
-		if got := pipelineFingerprint(t, c, Options{Workers: w, DisableSummaries: true}); got != want {
-			t.Errorf("workers=%d: summaries-off pipeline fingerprint differs from workers=1", w)
+		if got := pipelineFingerprint(t, c, Options{Workers: w, Summaries: tbl}); got != want {
+			t.Errorf("workers=%d: warm-table pipeline fingerprint differs from the cold run", w)
 		}
 	}
 }
 
-// TestDeterminismSummariesWithArtifactCache runs the summaries-on pipeline
-// cold and warm over one disk-backed store and requires identical
+// TestDeterminismSummariesWithArtifactCache runs the pipeline cold and warm over one disk-backed store and requires identical
 // fingerprints both times. The warm run varies the step budget so the
 // per-change analysis artifacts miss (their option fingerprint includes the
 // budget) while the budget-independent summary keys hit — proving persisted
@@ -43,14 +45,14 @@ func TestDeterminismSummariesOnOff(t *testing.T) {
 func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 	c := determinismCorpus()
 	dir := t.TempDir()
-	want := pipelineFingerprint(t, c, Options{Workers: 1, DisableSummaries: true})
+	want := pipelineFingerprint(t, c, Options{Workers: 1})
 
 	cold := pipelineFingerprint(t, c, Options{
 		Workers:   1,
 		Artifacts: artifact.New(artifact.Config{Dir: dir}),
 	})
 	if cold != want {
-		t.Fatalf("cold summaries-on run differs from summaries-off baseline")
+		t.Fatalf("cold disk-backed run differs from the in-memory baseline")
 	}
 
 	reg := obs.NewRegistry()
@@ -61,7 +63,7 @@ func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 		Artifacts:   artifact.New(artifact.Config{Dir: dir, Metrics: reg}),
 	})
 	if warm != want {
-		t.Fatalf("warm summaries-on run differs from summaries-off baseline")
+		t.Fatalf("warm disk-backed run differs from the in-memory baseline")
 	}
 	if hits := reg.Counter("summary.hits").Value(); hits < 1 {
 		t.Errorf("summary.hits on warm run = %d, want >= 1 (persisted summaries must replay)", hits)
@@ -69,8 +71,9 @@ func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 }
 
 // deepChainDES threads the weak algorithm constant through a six-deep helper
-// chain — past the default MaxInline=4 cliff — before it reaches the
-// Cipher.getInstance sink on the last line.
+// chain before it reaches the Cipher.getInstance sink on the last line.
+// Interprocedural reach is bounded only by cycle detection, so the constant
+// arrives.
 const deepChainDES = `class Deep {
     void entry() {
         h1("DES");
@@ -86,24 +89,18 @@ const deepChainDES = `class Deep {
 }
 `
 
-// TestSummaryDeepChainDetection pins the depth-cliff lift end to end at the
-// checker boundary: the depth-6 DES misuse is invisible with summaries
-// disabled (the sweep runs h6 with Top parameters) and detected with the
-// default options, with a witness trace that runs from the string literal
-// in entry to the getInstance sink in h6. The rendered trace is a golden;
-// refresh with -update-golden.
+// TestSummaryDeepChainDetection pins interprocedural reach end to end at
+// the checker boundary: the depth-6 DES misuse is detected with the default
+// options, with a witness trace that runs from the string literal in entry
+// to the getInstance sink in h6. The rendered trace is a golden; refresh
+// with -update-golden.
 func TestSummaryDeepChainDetection(t *testing.T) {
 	sources := map[string]string{"Deep.java": deepChainDES}
-
-	off := NewChecker([]*rules.Rule{rules.R8}, Options{DisableSummaries: true})
-	if vs := off.CheckSources(sources, rules.Context{}); len(vs) != 0 {
-		t.Fatalf("summaries-off detects the depth-6 misuse (violations=%d); the cliff moved", len(vs))
-	}
 
 	on := NewChecker([]*rules.Rule{rules.R8}, Options{})
 	vs, traces := on.CheckSourcesWhy(sources, rules.Context{})
 	if len(vs) != 1 {
-		t.Fatalf("summaries-on violations = %d, want 1 (R8)", len(vs))
+		t.Fatalf("violations = %d, want 1 (R8)", len(vs))
 	}
 	if vs[0].Rule.ID != "R8" {
 		t.Fatalf("violated rule = %s, want R8", vs[0].Rule.ID)

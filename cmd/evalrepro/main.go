@@ -28,6 +28,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 var outDir string
@@ -106,6 +107,7 @@ func main() {
 		MaxErrors:        *maxErr,
 		FailFast:         *failFast,
 		Metrics:          run.Reg,
+		Ledger:           resilience.NewLedger(),
 		Workers:          std.Workers(),
 		DisableDistCache: !std.DistCache(),
 		// -cache-dir wires the artifact store through the checker paths
@@ -130,8 +132,9 @@ func main() {
 			section("figure9", func(w io.Writer) { fmt.Fprintln(w, core.Figure9()) })
 		} else {
 			section("figure10", func(w io.Writer) { fmt.Fprintln(w, core.CheckCorpus(c, opts).Table()) })
+			printFailures(opts.Ledger, *verbose)
 		}
-		run.Flush(nil, false)
+		run.Flush(opts.Ledger, false)
 		return
 	}
 
@@ -151,7 +154,7 @@ func main() {
 			(opts.FailFast || (opts.MaxErrors > 0 && l.Len() >= opts.MaxErrors))
 		run.Flush(l, partial)
 	}()
-	defer printFailures(e, *verbose)
+	defer printFailures(e.DiffCode.Ledger(), *verbose)
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 
@@ -188,9 +191,8 @@ func main() {
 }
 
 // printFailures emits the failure summary of the run when any mined change
-// was skipped by the resilience layer.
-func printFailures(e *core.Evaluation, verbose bool) {
-	l := e.DiffCode.Ledger()
+// or checked project was skipped by the resilience layer.
+func printFailures(l *resilience.Ledger, verbose bool) {
 	if l.Len() == 0 {
 		if verbose {
 			fmt.Fprintln(os.Stderr, "no analysis failures (ledger empty)")

@@ -165,10 +165,16 @@ type changeOutcome struct {
 // analyzedOutcome resolves one change through the artifact store: warm hits
 // return the artifact, misses run the live analysis under per-key
 // single-flight (a duplicate-heavy batch analyzes each distinct content
-// hash once at any worker count) and cache the extraction.
-func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange) (*changeOutcome, resilience.Phase, error) {
+// hash once at any worker count) and cache the extraction. Inside a batch
+// the flight's leader analyzes as the first change of the batch with the
+// same (old, new) pair, so the sources that change owns are published
+// whichever duplicate leads.
+func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange, sh *changeShare) (*changeOutcome, resilience.Phase, error) {
 	st := d.opts.Artifacts
 	k := artifact.NewKey(artifact.KindAnalysis, d.optFP, cc.Old, cc.New)
+	if sh != nil {
+		sh = sh.first
+	}
 	led := false
 	v, err := st.Do(artifact.KindAnalysis, k, func() (any, error) {
 		led = true
@@ -176,7 +182,7 @@ func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange) (*
 			return &changeOutcome{art: av.(*changeArtifact)}, nil
 		}
 		d.opts.Metrics.Counter("artifact.analysis.computes").Inc()
-		a, phase, err := d.analyzeChangeLive(ctx, cc)
+		a, phase, err := d.analyzeChangeLive(ctx, cc, sh)
 		if err != nil {
 			return nil, &phaseError{phase: phase, err: err}
 		}

@@ -48,25 +48,54 @@ func forkBomb(n int) string {
 // change i and a budget stall into change j of a 20-change batch, and
 // assert the batch completes with 18 results in input order (nil slots for
 // the failures) and a ledger holding exactly the two injected failures.
+//
+// A case with reuse set gives change reuse[1] both sources of change
+// reuse[0], so it parses and interprets nothing itself: when it is the
+// panicking change, the panic still fires in its own guard (the parse
+// guard when parse is set); when its owner is the panicking change, it
+// analyzes live.
 func TestAnalyzeAllChaos(t *testing.T) {
-	cases := []struct{ panicAt, stallAt int }{
+	cases := []struct {
+		panicAt, stallAt int
+		reuse            [2]int // zero: every source unique
+		parse            bool
+	}{
 		{panicAt: 3, stallAt: 11},
 		{panicAt: 0, stallAt: 19},
 		{panicAt: 8, stallAt: 7},
+		{panicAt: 5, stallAt: 12, reuse: [2]int{4, 5}},
+		{panicAt: 5, stallAt: 12, reuse: [2]int{4, 5}, parse: true},
+		{panicAt: 9, stallAt: 2, reuse: [2]int{9, 10}},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("panic%d_stall%d", tc.panicAt, tc.stallAt), func(t *testing.T) {
+		name := fmt.Sprintf("panic%d_stall%d", tc.panicAt, tc.stallAt)
+		if tc.reuse != [2]int{} {
+			name += fmt.Sprintf("_reuse%d_%d", tc.reuse[0], tc.reuse[1])
+		}
+		if tc.parse {
+			name += "_parse"
+		}
+		t.Run(name, func(t *testing.T) {
 			defer resilience.ClearFaultInjector()
 			ccs := make([]mining.CodeChange, 20)
 			for i := range ccs {
 				ccs[i] = tinyChange(i)
 			}
+			if tc.reuse != [2]int{} {
+				ccs[tc.reuse[1]].Old, ccs[tc.reuse[1]].New = ccs[tc.reuse[0]].Old, ccs[tc.reuse[0]].New
+			}
 			// The stall is real: a fork-heavy new version that exhausts the
 			// per-change step budget inside the interpreter's hot loop.
 			ccs[tc.stallAt].New = forkBomb(400)
 			panicTask := taskName(ccs[tc.panicAt])
+			wantPhase := resilience.PhaseAnalyze
+			injectAt := panicTask
+			if tc.parse {
+				wantPhase = resilience.PhaseParse
+				injectAt += " [parse]"
+			}
 			resilience.SetFaultInjector(func(task string) error {
-				if task == panicTask {
+				if task == injectAt {
 					panic("injected chaos panic")
 				}
 				return nil
@@ -112,8 +141,8 @@ func TestAnalyzeAllChaos(t *testing.T) {
 			if !ok {
 				t.Fatalf("no ledger entry for injected panic task %q", panicTask)
 			}
-			if pe.Phase != resilience.PhaseAnalyze || pe.Category != resilience.CatPanic {
-				t.Errorf("panic entry = phase %q category %q, want analyze/panic", pe.Phase, pe.Category)
+			if pe.Phase != wantPhase || pe.Category != resilience.CatPanic {
+				t.Errorf("panic entry = phase %q category %q, want %s/panic", pe.Phase, pe.Category, wantPhase)
 			}
 			if pe.Stack == "" {
 				t.Error("panic entry has no stack snippet")
@@ -305,5 +334,36 @@ func TestAnalyzeChangeBudgetError(t *testing.T) {
 	}
 	if a != nil {
 		t.Error("got a partial AnalyzedChange, want nil")
+	}
+}
+
+// TestFigure10ChaosSkipsProject injects a panic into one project's check:
+// Figure 10 completes over the other projects, and the evaluation's ledger
+// holds exactly that project's entry.
+func TestFigure10ChaosSkipsProject(t *testing.T) {
+	c := corpus.Generate(corpus.Config{Seed: 7, Scale: 0.1, Projects: 6, ExtraProjects: 2})
+	intact := CheckCorpus(c, Options{Workers: 2})
+	e := NewEvaluation(c, Options{Workers: 2})
+	if n := e.DiffCode.Ledger().Len(); n != 0 {
+		t.Fatalf("setup: ledger has %d entries, want 0", n)
+	}
+	victim := c.Projects[3]
+	defer resilience.ClearFaultInjector()
+	resilience.SetFaultInjector(func(task string) error {
+		if task == "check "+victim.Name {
+			panic("figure 10 chaos")
+		}
+		return nil
+	})
+	f10 := e.Figure10()
+	if f10.Projects != intact.Projects-1 {
+		t.Errorf("Figure 10 covers %d projects, want %d (all but the victim)", f10.Projects, intact.Projects-1)
+	}
+	entries := e.DiffCode.Ledger().Entries()
+	if len(entries) != 1 {
+		t.Fatalf("ledger has %d entries, want 1:\n%s", len(entries), e.DiffCode.Ledger().Report())
+	}
+	if got := entries[0]; got.Task != "check "+victim.Name || got.Category != resilience.CatPanic || got.Meta["project"] != victim.Name {
+		t.Errorf("entry = %q %s/%s meta %v, want the victim's panic", got.Task, got.Phase, got.Category, got.Meta)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -187,7 +188,7 @@ func taskName(cc mining.CodeChange) string {
 // parsing or analysis, or an exhausted per-change budget, is returned as an
 // error instead of propagating.
 func (d *DiffCode) AnalyzeChange(cc mining.CodeChange) (*AnalyzedChange, error) {
-	a, _, err := d.analyzeChange(context.Background(), cc)
+	a, _, err := d.analyzeChange(context.Background(), cc, nil)
 	return a, err
 }
 
@@ -196,29 +197,31 @@ func (d *DiffCode) AnalyzeChange(cc mining.CodeChange) (*AnalyzedChange, error) 
 // early (resilience.ErrCanceled) once ctx is canceled. This is the
 // request-scoped entry point behind the analysis server's /v1/analyze.
 func (d *DiffCode) AnalyzeChangeCtx(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, error) {
-	a, _, err := d.analyzeChange(ctx, cc)
+	a, _, err := d.analyzeChange(ctx, cc, nil)
 	return a, err
 }
 
 // analyzeChange is AnalyzeChange plus the pipeline phase a failure belongs
 // to (parse vs analyze) for ledger bookkeeping. When ctx carries a trace
-// span, the parse and the two interpreter runs appear as child spans and a
+// span, the parse and the interpreter runs appear as child spans and a
 // failure annotates ctx's span with its ledger category. With an artifact
 // store configured the change resolves through analyzedOutcome — a warm
 // hit skips parse and interpretation entirely (and so creates none of
 // their spans) while producing an identical AnalyzedChange downstream.
-func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
+// Inside a batch, sh is the change's view of the batch's shared sources
+// (nil for a lone change).
+func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange, sh *changeShare) (*AnalyzedChange, resilience.Phase, error) {
 	var a *AnalyzedChange
 	if d.opts.Artifacts == nil {
 		var phase resilience.Phase
 		var err error
-		a, phase, err = d.analyzeChangeLive(ctx, cc)
+		a, phase, err = d.analyzeChangeLive(ctx, cc, sh)
 		if err != nil {
 			trace.FromContext(ctx).Annotate(string(resilience.Categorize(err)))
 			return nil, phase, err
 		}
 	} else {
-		oc, phase, err := d.analyzedOutcome(ctx, cc)
+		oc, phase, err := d.analyzedOutcome(ctx, cc, sh)
 		if err != nil {
 			trace.FromContext(ctx).Annotate(string(resilience.Categorize(err)))
 			return nil, phase, err
@@ -242,50 +245,198 @@ func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange) (*An
 	return a, "", nil
 }
 
+// sourceShare is one distinct source text of an AnalyzeAllCtx batch. Its
+// owner, the first change in input order (old before new) that mentions
+// the text, parses and interprets it; every other change mentioning it
+// waits on done and reuses the owner's result.
+type sourceShare struct {
+	done chan struct{}
+	once sync.Once
+	// res is the owner's completed result, nil when the owner produced
+	// none (it failed, or resolved from the artifact store); steps is what
+	// that analysis charged to the owner's budget.
+	res   *analysis.Result
+	steps int64
+}
+
+// publish records the owner's outcome and wakes the waiters; only the
+// first call counts.
+func (s *sourceShare) publish(res *analysis.Result, steps int64) {
+	s.once.Do(func() {
+		s.res, s.steps = res, steps
+		close(s.done)
+	})
+}
+
+// changeShare is one change's view of its batch's shared sources: the
+// share of each version (old, new) and whether this change owns it.
+type changeShare struct {
+	src [2]*sourceShare
+	own [2]bool
+	// first is the share of the batch's first change with the same (old,
+	// new) pair. Such duplicates resolve through one artifact-store flight,
+	// whose leader may be any of them, so the leader analyzes as first.
+	first *changeShare
+}
+
+// shareSources assigns every distinct source text of a batch its owner
+// before dispatch. The pool dispatches changes in input order, so an owner
+// is always dispatched before the changes that wait on it, and an owner
+// analyzes what it owns before it waits on anything.
+func shareSources(ccs []mining.CodeChange) []changeShare {
+	bySrc := make(map[string]*sourceShare, len(ccs)+1)
+	byPair := make(map[[2]*sourceShare]*changeShare, len(ccs))
+	shares := make([]changeShare, len(ccs))
+	for i, cc := range ccs {
+		sh := &shares[i]
+		for v, src := range [2]string{cc.Old, cc.New} {
+			s := bySrc[src]
+			if s == nil {
+				s = &sourceShare{done: make(chan struct{})}
+				bySrc[src] = s
+				sh.own[v] = true
+			}
+			sh.src[v] = s
+		}
+		sh.first = byPair[sh.src]
+		if sh.first == nil {
+			sh.first = sh
+			byPair[sh.src] = sh
+		}
+	}
+	return shares
+}
+
+// release publishes "no result" for every owned text the change has not
+// published, so its waiters fall back to live analysis instead of blocking.
+func (sh *changeShare) release() {
+	for v, s := range sh.src {
+		if sh.own[v] {
+			s.publish(nil, 0)
+		}
+	}
+}
+
 // analyzeChangeLive parses and interprets both versions of one change —
 // the storeless pipeline body, also run (under single-flight) on an
 // artifact miss. Callers fill the Uses maps and count changes_analyzed.
-func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
+//
+// With a share (inside a batch) the change parses and interprets only the
+// versions it owns, then takes the owners' completed results for the
+// others, charging their recorded steps to its own budget with StepN. The
+// budget fails the change exactly when running every version would, since
+// steps are a function of the source alone. A version whose owner has no
+// completed result runs live. Every change runs its own parse and analyze
+// guards under its own task name either way.
+func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange, sh *changeShare) (*AnalyzedChange, resilience.Phase, error) {
 	task := taskName(cc)
-	reg := d.opts.Metrics
-	var progOld, progNew *analysis.Program
-	sp := reg.StartSpanTask("parse", task)
-	err := resilience.Guard(task+" [parse]", func() error {
-		progOld = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.Old}, reg, nil)
-		progNew = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.New}, reg, nil)
-		return nil
-	})
-	sp.End()
+	srcs := [2]string{cc.Old, cc.New}
+	want := [2]bool{true, true}
+	if sh != nil {
+		want = sh.own
+	}
+	progs, err := d.parseVersions(ctx, task, srcs, want)
 	if err != nil {
 		return nil, resilience.PhaseParse, err
 	}
-	a := &AnalyzedChange{
+	// Both versions share one budget: the unit of skipping is the change.
+	budget := resilience.NewBudgetContext(ctx, d.opts.BudgetSteps, d.opts.BudgetWall)
+	var res [2]*analysis.Result
+	var live [2]bool
+	err = resilience.Guard(task, func() error {
+		if err := d.interpretVersions(ctx, task, progs, budget, &res, sh); err != nil {
+			return err
+		}
+		if sh == nil {
+			return nil
+		}
+		for v, s := range sh.src {
+			if sh.own[v] {
+				continue
+			}
+			<-s.done
+			if s.res == nil {
+				live[v] = true
+				continue
+			}
+			if err := budget.StepN(s.steps); err != nil {
+				return err
+			}
+			res[v] = s.res
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, resilience.PhaseAnalyze, err
+	}
+	if live[0] || live[1] {
+		if progs, err = d.parseVersions(ctx, task, srcs, live); err != nil {
+			return nil, resilience.PhaseParse, err
+		}
+		err = resilience.Guard(task, func() error {
+			return d.interpretVersions(ctx, task, progs, budget, &res, nil)
+		})
+		if err != nil {
+			return nil, resilience.PhaseAnalyze, err
+		}
+	}
+	return &AnalyzedChange{
 		Meta:   cc.Meta,
 		Kind:   cc.Kind,
 		OldSrc: cc.Old,
 		NewSrc: cc.New,
+		Old:    res[0],
+		New:    res[1],
+	}, "", nil
+}
+
+// parseVersions parses the wanted versions of a change under the change's
+// parse guard; the "parse" stage span records only changes that parse.
+func (d *DiffCode) parseVersions(ctx context.Context, task string, srcs [2]string, want [2]bool) (progs [2]*analysis.Program, err error) {
+	reg := d.opts.Metrics
+	var sp obs.Span
+	if want[0] || want[1] {
+		sp = reg.StartSpanTask("parse", task)
 	}
-	sp = reg.StartSpanTask("analyze", task)
-	err = resilience.Guard(task, func() error {
-		// Both versions share one budget: the unit of skipping is the change.
-		aopts := d.opts.Analysis
-		aopts.Budget = resilience.NewBudgetContext(ctx, d.opts.BudgetSteps, d.opts.BudgetWall)
-		old, err := analysis.AnalyzeBudgetedCtx(ctx, progOld, aopts)
-		if err != nil {
-			return err
+	err = resilience.Guard(task+" [parse]", func() error {
+		for v, src := range srcs {
+			if want[v] {
+				progs[v] = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": src}, reg, nil)
+			}
 		}
-		nw, err := analysis.AnalyzeBudgetedCtx(ctx, progNew, aopts)
-		if err != nil {
-			return err
-		}
-		a.Old, a.New = old, nw
 		return nil
 	})
 	sp.End()
-	if err != nil {
-		return nil, resilience.PhaseAnalyze, err
+	return progs, err
+}
+
+// interpretVersions interprets the parsed versions in order on the
+// change's budget. With a share, every parsed version is one the change
+// owns, and each completed result is published to it. The "analyze" stage
+// span records only changes that interpret.
+func (d *DiffCode) interpretVersions(ctx context.Context, task string, progs [2]*analysis.Program, budget *resilience.Budget, res *[2]*analysis.Result, sh *changeShare) error {
+	if progs[0] == nil && progs[1] == nil {
+		return nil
 	}
-	return a, "", nil
+	sp := d.opts.Metrics.StartSpanTask("analyze", task)
+	defer sp.End()
+	aopts := d.opts.Analysis
+	aopts.Budget = budget
+	for v, prog := range progs {
+		if prog == nil {
+			continue
+		}
+		before := budget.Used()
+		r, err := analysis.AnalyzeBudgetedCtx(ctx, prog, aopts)
+		if err != nil {
+			return err
+		}
+		res[v] = r
+		if sh != nil {
+			sh.src[v].publish(r, budget.Used()-before)
+		}
+	}
+	return nil
 }
 
 // record files a failure for a mined change in the ledger.
@@ -306,6 +457,9 @@ func (d *DiffCode) record(cc mining.CodeChange, phase resilience.Phase, err erro
 // the remainder of the batch via cooperative cancellation (no new change is
 // dispatched once the failure threshold is reached; in-flight changes
 // finish and keep their slots). Workers == 1 runs the exact serial path.
+// Each distinct source text of the batch is parsed and interpreted once,
+// by its owner (see shareSources); the results are those of analyzing
+// every change alone.
 func (d *DiffCode) AnalyzeAll(ccs []mining.CodeChange) []*AnalyzedChange {
 	return d.AnalyzeAllCtx(context.Background(), ccs)
 }
@@ -324,6 +478,7 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 	ctx, cancel := context.WithCancel(trace.Detach(bctx))
 	defer cancel()
 	var failures atomic.Int64
+	shares := shareSources(ccs)
 	// Budgets inside the batch deliberately stay unbound from the cancel
 	// context: fail-fast/max-errors stop dispatching new changes, but
 	// in-flight changes finish and keep their slots (the documented abort
@@ -331,7 +486,8 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 	// strips the fail-fast cancellation before it reaches a change's budget
 	// while keeping the task span as the parent of the change's spans.
 	d.opts.pool().ForEachCtx(ctx, "change", len(ccs), func(cctx context.Context, i int) {
-		a, phase, err := d.analyzeChange(trace.Detach(cctx), ccs[i])
+		defer shares[i].release()
+		a, phase, err := d.analyzeChange(trace.Detach(cctx), ccs[i], &shares[i])
 		if err != nil {
 			d.record(ccs[i], phase, err)
 			n := failures.Add(1)
@@ -393,9 +549,10 @@ type ClassPipelineResult struct {
 }
 
 // RunClass extracts, filters, and returns the semantic usage changes of one
-// target class across analyzed changes. Nil slots (changes the resilience
-// layer skipped) are ignored; a panic while extracting one change skips
-// that change and records it, rather than aborting the class.
+// target class across analyzed changes. Extraction runs on the pipeline's
+// worker pool with ordered fan-in. Nil slots (changes the resilience layer
+// skipped) are ignored; a panic while extracting one change skips that
+// change and records it, rather than aborting the class.
 func (d *DiffCode) RunClass(analyzed []*AnalyzedChange, class string) ClassPipelineResult {
 	return d.RunClassCtx(context.Background(), analyzed, class)
 }
@@ -417,17 +574,30 @@ func (d *DiffCode) runClass(ctx context.Context, analyzed []*AnalyzedChange, cla
 	_, xsp := trace.Start(ctx, "extract")
 	xsp.SetAttr("class", class)
 	esp := reg.StartSpanTask("extract", class)
-	for i, a := range analyzed {
-		if a != nil && a.UsesClass(class) {
-			task := fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
-			err := resilience.Guard(task, func() error {
-				all = append(all, d.ExtractClass(a, class)...)
-				return nil
-			})
-			if err != nil {
-				d.ledger.Record(resilience.NewEntry(task, resilience.PhaseExtract, err))
-			}
+	type extraction struct {
+		ucs  []change.UsageChange
+		task string
+		err  error
+	}
+	xs := parallel.Map(d.opts.pool(), context.Background(), len(analyzed), func(i int) (x extraction) {
+		a := analyzed[i]
+		if a == nil || !a.UsesClass(class) {
+			return x
 		}
+		x.task = fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
+		x.err = resilience.Guard(x.task, func() error {
+			x.ucs = d.ExtractClass(a, class)
+			return nil
+		})
+		return x
+	})
+	// Fan-in in index order: the usage changes and the ledger entries come
+	// out as the serial loop produced them, at any worker count.
+	for i, x := range xs {
+		if x.err != nil {
+			d.ledger.Record(resilience.NewEntry(x.task, resilience.PhaseExtract, x.err))
+		}
+		all = append(all, x.ucs...)
 		ends[i] = len(all)
 	}
 	esp.End()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cryptoapi"
 	"repro/internal/parallel"
 	"repro/internal/report"
+	"repro/internal/resilience"
 	"repro/internal/rules"
 	"repro/internal/usage"
 )
@@ -335,16 +336,23 @@ type Figure10Result struct {
 }
 
 // Figure10 runs CryptoChecker over every project snapshot, once per
-// Evaluation; every call returns the same (read-only) result.
+// Evaluation; every call returns the same (read-only) result. A project
+// whose check fails is skipped and recorded in the evaluation's ledger.
 func (e *Evaluation) Figure10() *Figure10Result {
-	e.fig10Once.Do(func() { e.fig10 = CheckCorpus(e.Corpus, e.DiffCode.Options()) })
+	e.fig10Once.Do(func() {
+		opts := e.DiffCode.Options()
+		opts.Ledger = e.DiffCode.Ledger()
+		e.fig10 = CheckCorpus(e.Corpus, opts)
+	})
 	return e.fig10
 }
 
 // CheckCorpus evaluates the 13 rules over all project snapshots of a
 // corpus (training + held-out) on the worker pool (one project per task,
 // ordered fan-in). Forks are excluded, as in the paper's project selection
-// (§6.1: "excluding forks").
+// (§6.1: "excluding forks"). Each project is checked under its own guard:
+// a panic skips that project, which is recorded in opts.Ledger (in project
+// order, at any worker count) and left out of the result.
 func CheckCorpus(c *corpus.Corpus, opts Options) *Figure10Result {
 	opts = opts.withDefaults()
 	all := rules.All()
@@ -357,26 +365,41 @@ func CheckCorpus(c *corpus.Corpus, opts Options) *Figure10Result {
 	type projOutcome struct {
 		applicable map[string]bool
 		matching   map[string]bool
+		task       string
+		err        error
 	}
 	outcomes := parallel.Map(opts.pool(), context.Background(), len(projects), func(i int) projOutcome {
 		p := projects[i]
-		res := analysis.Analyze(analysis.ParseProgram(p.Files), opts.Analysis)
-		ctx := ContextOf(p)
-		o := projOutcome{applicable: map[string]bool{}, matching: map[string]bool{}}
-		for _, r := range all {
-			if r.Applicable(res, ctx) {
-				o.applicable[r.ID] = true
+		o := projOutcome{applicable: map[string]bool{}, matching: map[string]bool{}, task: "check " + p.Name}
+		o.err = resilience.Guard(o.task, func() error {
+			res := analysis.Analyze(analysis.ParseProgram(p.Files), opts.Analysis)
+			ctx := ContextOf(p)
+			for _, r := range all {
+				if r.Applicable(res, ctx) {
+					o.applicable[r.ID] = true
+				}
+				if ok, _ := r.Matches(res, ctx); ok {
+					o.matching[r.ID] = true
+				}
 			}
-			if ok, _ := r.Matches(res, ctx); ok {
-				o.matching[r.ID] = true
-			}
-		}
+			return nil
+		})
 		return o
 	})
-	res := &Figure10Result{Projects: len(projects)}
+	var checked []projOutcome
+	for i, o := range outcomes {
+		if o.err != nil {
+			e := resilience.NewEntry(o.task, resilience.PhaseAnalyze, o.err)
+			e.Meta = map[string]string{"project": projects[i].Name}
+			opts.Ledger.Record(e)
+			continue
+		}
+		checked = append(checked, o)
+	}
+	res := &Figure10Result{Projects: len(checked)}
 	for _, r := range all {
 		row := Figure10Row{Rule: r.ID}
-		for _, o := range outcomes {
+		for _, o := range checked {
 			if o.applicable[r.ID] {
 				row.Applicable++
 			}
@@ -386,7 +409,7 @@ func CheckCorpus(c *corpus.Corpus, opts Options) *Figure10Result {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, o := range outcomes {
+	for _, o := range checked {
 		if len(o.matching) > 0 {
 			res.ViolatedAtLeastOne++
 		}

@@ -48,7 +48,9 @@ func twoChanges() []mining.CodeChange {
 
 // TestPipelineMetricsTwoChanges drives the instrumented pipeline over a
 // fixed two-change run and asserts the stderr summary table verbatim
-// (deterministic thanks to the tick clock and a single worker).
+// (deterministic thanks to the tick clock and a single worker). Both
+// changes carry the same two sources, so the batch parses and interprets
+// each once: the first change owns both, the second reuses them.
 func TestPipelineMetricsTwoChanges(t *testing.T) {
 	clock := &tickClock{}
 	reg := obs.NewRegistryClock(clock.now)
@@ -66,21 +68,21 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 
 	want := strings.Join([]string{
 		"stage            runs      total       mean        p50        p90        max  slowest",
-		"analyze             2        2ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
+		"analyze             1        1ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
 		"extract             1        1ms        1ms        1ms        1ms        1ms  Cipher",
 		"filter              1        1ms        1ms        1ms        1ms        1ms  Cipher",
-		"parse               2        2ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
+		"parse               1        1ms        1ms        1ms        1ms        1ms  change p@c1:A.java",
 		"counters",
 		"  analysis.changes_analyzed                         2",
-		"  analysis.runs                                     4",
-		"  analysis.steps                                   32",
+		"  analysis.runs                                     2",
+		"  analysis.steps                                   16",
 		"  extract.runs                                      2",
 		"  extract.usage_changes                             2",
 		"  filter.survivors                                  1",
 		"  filter.usage_changes                              2",
-		"  parse.bytes                                     602",
+		"  parse.bytes                                     301",
 		"  parse.errors                                      0",
-		"  parse.files                                       4",
+		"  parse.files                                       2",
 		// The summary.* counters register eagerly when the table is built
 		// (so a Prometheus scrape carries the series from the start); this
 		// workload has no helper calls, so all four stay zero.
@@ -91,7 +93,7 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"gauges",
 		"  pipeline.workers                                  1",
 		"distributions",
-		"  analysis.steps_per_run                 n=4 sum=32 min=8 p50=8 p90=8 max=8",
+		"  analysis.steps_per_run                 n=2 sum=16 min=8 p50=8 p90=8 max=8",
 		"",
 	}, "\n")
 	if got := reg.Summary(); got != want {

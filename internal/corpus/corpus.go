@@ -11,8 +11,11 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/parallel"
 )
 
 // Config controls corpus generation.
@@ -152,17 +155,21 @@ func (k CommitKind) String() string {
 	return "?"
 }
 
-// Generate builds the corpus for the given configuration.
+// Generate builds the corpus for the given configuration. Every project
+// seed is drawn serially from the master stream; the projects then build
+// on a worker pool (generateProject is a pure function of its seed) and
+// land at their index, so the corpus is identical at any GOMAXPROCS.
 func Generate(cfg Config) *Corpus {
 	cfg = cfg.withDefaults()
 	master := rand.New(rand.NewSource(cfg.Seed))
 	total := cfg.Projects + cfg.ExtraProjects
-	corpus := &Corpus{}
-	for i := 0; i < total; i++ {
-		seed := master.Int63()
-		p := generateProject(i, seed, cfg, i < cfg.Projects)
-		corpus.Projects = append(corpus.Projects, p)
+	seeds := make([]int64, total)
+	for i := range seeds {
+		seeds[i] = master.Int63()
 	}
+	corpus := &Corpus{Projects: parallel.Map(parallel.New(0, nil), context.Background(), total, func(i int) *Project {
+		return generateProject(i, seeds[i], cfg, i < cfg.Projects)
+	})}
 	// Forks: a slice of training projects reappears under new names with
 	// the same commit-history prefix (GitHub reality the paper's selection
 	// step has to undo).

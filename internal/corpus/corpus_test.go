@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -28,6 +30,21 @@ func TestGenerateDeterministic(t *testing.T) {
 			if pa.Commits[j].Old != pb.Commits[j].Old || pa.Commits[j].New != pb.Commits[j].New {
 				t.Fatalf("commit %s not deterministic", pa.Commits[j].ID)
 			}
+		}
+	}
+}
+
+// TestDeterminismCorpusGenerate: projects build on a worker pool sized by
+// GOMAXPROCS, and the corpus is identical to the serial one-worker build
+// at any GOMAXPROCS (CI also runs it at -cpu=1,4).
+func TestDeterminismCorpusGenerate(t *testing.T) {
+	cfg := smallConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := Generate(cfg)
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := Generate(cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: corpus differs from the serial build", procs)
 		}
 	}
 }

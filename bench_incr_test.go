@@ -13,6 +13,7 @@ package diffcode
 // fast; the named benchmark runs under `-bench` as usual.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -39,10 +40,10 @@ func benchMineOnce(c *corpus.Corpus, dir string, reg *obs.Registry) int {
 		Metrics:   reg,
 		Artifacts: artifact.New(artifact.Config{Dir: dir, Metrics: reg}),
 	})
-	analyzed := d.MineCorpus(c)
+	analyzed := d.MineCorpus(context.Background(), c)
 	survivors := 0
 	for _, class := range cryptoapi.TargetClasses {
-		survivors += len(d.RunClass(analyzed, class).Survivors)
+		survivors += len(d.RunClass(context.Background(), analyzed, class).Survivors)
 	}
 	return survivors
 }

@@ -11,6 +11,7 @@ package diffcode
 // same code paths at full scale.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -157,7 +158,7 @@ class T {
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(CheckSource(src, RuleContext{}, Options{})) == 0 {
+		if len(mustCheck(b, src, RuleContext{}, Options{})) == 0 {
 			b.Fatal("no violations found")
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkClusteringDistMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(cluster.DistMatrix(all)) != len(all) {
+		if len(cluster.DistMatrixEngine(all, nil, nil, nil)) != len(all) {
 			b.Fatal("bad matrix")
 		}
 	}
@@ -255,11 +256,11 @@ func BenchmarkClusteringDistMatrix(b *testing.B) {
 // complete linkage given a precomputed distance matrix.
 func BenchmarkClusteringAgglomerate(b *testing.B) {
 	all := benchSurvivors(b)
-	d := cluster.DistMatrix(all)
+	d := cluster.DistMatrixEngine(all, nil, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cluster.AgglomerateMatrix(d, cluster.Complete) == nil {
+		if cluster.AgglomerateMatrix(d, cluster.Complete, nil, nil) == nil {
 			b.Fatal("no dendrogram")
 		}
 	}
@@ -285,7 +286,7 @@ func benchMineCorpusAt(workers int) func(*testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d := New(Options{Workers: workers})
-			if len(d.MineCorpus(c)) == 0 {
+			if len(d.MineCorpus(context.Background(), c)) == 0 {
 				b.Fatal("no changes mined")
 			}
 		}
@@ -301,7 +302,7 @@ func benchDistMatrixAt(workers int) func(*testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if len(cluster.DistMatrixPool(all, nil, p)) != len(all) {
+			if len(cluster.DistMatrixEngine(all, nil, p, nil)) != len(all) {
 				b.Fatal("bad matrix")
 			}
 		}
@@ -396,8 +397,8 @@ class A {
 }
 `
 	run := func(b *testing.B, pair func(old, new []*usage.Graph) int) {
-		oldGs := BuildDAGs(oldSrc, Cipher, Options{})
-		newGs := BuildDAGs(newSrc, Cipher, Options{})
+		oldGs := mustDAGs(b, oldSrc, Cipher, Options{})
+		newGs := mustDAGs(b, newSrc, Cipher, Options{})
 		matched := 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -441,7 +442,7 @@ func BenchmarkAblationLinkage(b *testing.B) {
 	if len(all) < 4 {
 		b.Skip("not enough survivors at bench scale")
 	}
-	d := cluster.DistMatrix(all)
+	d := cluster.DistMatrixEngine(all, nil, nil, nil)
 	for name, linkage := range map[string]cluster.Linkage{
 		"complete": cluster.Complete,
 		"single":   cluster.Single,
@@ -451,7 +452,7 @@ func BenchmarkAblationLinkage(b *testing.B) {
 			b.ReportAllocs()
 			var root *cluster.Node
 			for i := 0; i < b.N; i++ {
-				root = cluster.AgglomerateMatrix(d, linkage)
+				root = cluster.AgglomerateMatrix(d, linkage, nil, nil)
 			}
 			b.ReportMetric(root.Height, "rootheight")
 			// Cophenetic correlation: how faithfully this linkage's tree
@@ -465,8 +466,8 @@ func BenchmarkAblationLinkage(b *testing.B) {
 // (the paper's Removed/Added) against full path-set diffs: features/op
 // counts the emitted feature paths — the minimal form stays compact.
 func BenchmarkAblationShortestPaths(b *testing.B) {
-	oldGs := BuildDAGs(benchOld, Cipher, Options{})
-	newGs := BuildDAGs(benchNew, Cipher, Options{})
+	oldGs := mustDAGs(b, benchOld, Cipher, Options{})
+	newGs := mustDAGs(b, benchNew, Cipher, Options{})
 	if len(oldGs) != 1 || len(newGs) != 1 {
 		b.Fatal("expected one DAG per version")
 	}
@@ -513,7 +514,7 @@ class T {
     }
 }
 `
-	res := AnalyzeUsages(src, Options{})
+	res := mustUsages(b, src, Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -548,7 +549,7 @@ class C {
 			variants := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := diffAnalyze(src, opts)
+				res := diffAnalyze(b, src, opts)
 				variants = res
 			}
 			b.ReportMetric(float64(variants), "transforms/op")
@@ -558,8 +559,8 @@ class C {
 
 // diffAnalyze counts the distinct constant transformations observed on the
 // single Cipher object (a precision proxy for the fork-budget ablation).
-func diffAnalyze(src string, opts Options) int {
-	gs := BuildDAGs(src, Cipher, opts)
+func diffAnalyze(b testing.TB, src string, opts Options) int {
+	gs := mustDAGs(b, src, Cipher, opts)
 	if len(gs) != 1 {
 		return -1
 	}

@@ -46,14 +46,10 @@ func main() {
 		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
 		verbose   = flag.Bool("v", false, "print a stage-by-stage telemetry summary to stderr at exit")
 		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
-		shards    = flag.Int("shards", 1, "analyze and filter the mined corpus in N contiguous shards (map-reduce over a shared -cache-dir; output is identical at any N)")
 		std       = cliutil.StandardFlags("diffcode")
 	)
 	std.Parse()
 	why := std.Why()
-	if *shards < 1 {
-		cliutil.UsageError("diffcode", "-shards must be at least 1 (got %d)", *shards)
-	}
 
 	run, err := obs.NewCLI("diffcode", *metrics, *debugAddr, *verbose)
 	if err != nil {
@@ -94,7 +90,7 @@ func main() {
 		if why.On() {
 			cliutil.UsageError("diffcode", "-why applies to single-change mode (-old/-new) only")
 		}
-		runCorpus(tctx, run, *corpusDir, classes, opts, *shards)
+		runCorpus(tctx, run, *corpusDir, classes, opts)
 	default:
 		cliutil.UsageError("diffcode", "need either -old/-new or -corpus")
 	}
@@ -108,18 +104,23 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 		fmt.Print(textdiff.Unified(oldSrc, newSrc, 2))
 		fmt.Println()
 	}
+	d := core.New(opts)
 	if dot {
 		for _, cls := range classes {
-			for i, g := range core.BuildDAGs(oldSrc, cls, opts) {
-				fmt.Print(g.DOT(fmt.Sprintf("old_%s_%d", cls, i)))
-			}
-			for i, g := range core.BuildDAGs(newSrc, cls, opts) {
-				fmt.Print(g.DOT(fmt.Sprintf("new_%s_%d", cls, i)))
+			for _, v := range []struct{ name, src string }{{"old", oldSrc}, {"new", newSrc}} {
+				gs, err := core.BuildDAGs(tctx, v.src, cls, opts)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "diffcode: %s version: %v\n", v.name, err)
+					run.Flush(d.Ledger(), true)
+					os.Exit(1)
+				}
+				for i, g := range gs {
+					fmt.Print(g.DOT(fmt.Sprintf("%s_%s_%d", v.name, cls, i)))
+				}
 			}
 		}
 	}
-	d := core.New(opts)
-	a, err := d.AnalyzeChangeCtx(tctx, mining.CodeChange{
+	a, err := d.AnalyzeChange(tctx, mining.CodeChange{
 		Old: oldSrc, New: newSrc,
 		Meta: change.Meta{File: newPath},
 	})
@@ -149,7 +150,11 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 		fmt.Println("no semantic usage changes (refactoring or unrelated change)")
 	}
 	if why.On() {
-		printWhy(tctx, run, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules)
+		if err := printWhy(tctx, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules); err != nil {
+			fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
+			run.Flush(d.Ledger(), true)
+			os.Exit(1)
+		}
 	}
 	run.Flush(d.Ledger(), false)
 }
@@ -158,15 +163,20 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 // (the built-ins, plus any -rules packs) and prints witness traces for the
 // violations the change fixed (old version only) and introduced (new
 // version only).
-func printWhy(tctx context.Context, run *obs.CLI, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) {
+func printWhy(tctx context.Context, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) error {
 	checker := core.NewChecker(activeRules, opts)
-	ctx := rules.Context{}
-	oldVs, oldTraces := checker.CheckSourcesWhyCtx(tctx, map[string]string{oldPath: oldSrc}, ctx)
-	newVs, newTraces := checker.CheckSourcesWhyCtx(tctx, map[string]string{newPath: newSrc}, ctx)
-	oldIDs := ruleIDSet(oldVs)
-	newIDs := ruleIDSet(newVs)
-	fixed := filterTraces(oldTraces, func(id string) bool { return !newIDs[id] })
-	introduced := filterTraces(newTraces, func(id string) bool { return !oldIDs[id] })
+	oldOut, err := checker.CheckRequest(tctx, map[string]string{oldPath: oldSrc}, rules.Context{}, true)
+	if err != nil {
+		return fmt.Errorf("checking %s: %w", oldPath, err)
+	}
+	newOut, err := checker.CheckRequest(tctx, map[string]string{newPath: newSrc}, rules.Context{}, true)
+	if err != nil {
+		return fmt.Errorf("checking %s: %w", newPath, err)
+	}
+	oldIDs := ruleIDSet(oldOut.Violations)
+	newIDs := ruleIDSet(newOut.Violations)
+	fixed := filterTraces(oldOut.Traces, func(id string) bool { return !newIDs[id] })
+	introduced := filterTraces(newOut.Traces, func(id string) bool { return !oldIDs[id] })
 	if why == cliutil.WhyJSON {
 		out := struct {
 			Fixed      []witness.Trace `json:"fixed"`
@@ -174,16 +184,16 @@ func printWhy(tctx context.Context, run *obs.CLI, oldPath, oldSrc, newPath, newS
 		}{fixed, introduced}
 		b, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println(string(b))
-		return
+		return nil
 	}
 	fmt.Printf("\n--- violations fixed by this change (%d) ---\n", countRules(fixed))
 	fmt.Print(witness.Render(fixed))
 	fmt.Printf("\n--- violations introduced by this change (%d) ---\n", countRules(introduced))
 	fmt.Print(witness.Render(introduced))
+	return nil
 }
 
 func ruleIDSet(vs []rules.Violation) map[string]bool {
@@ -212,7 +222,7 @@ func countRules(ts []witness.Trace) int {
 	return len(seen)
 }
 
-func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string, opts core.Options, shards int) {
+func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string, opts core.Options) {
 	// One ledger spans the whole run: corpus loading and mining both record
 	// the work they skipped into it.
 	ledger := resilience.NewLedger()
@@ -229,32 +239,11 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 		os.Exit(1)
 	}
 	d := core.New(opts)
-	// -shards N analyzes and class-filters the mined corpus in N contiguous
-	// shards, merging per-class results (core.MergeClassResults) into exactly
-	// the monolithic output; -shards 1 is the classic single-pass path.
-	var analyzed []*core.AnalyzedChange
-	var shardAnalyzed [][]*core.AnalyzedChange
-	if shards > 1 {
-		shardAnalyzed = d.MineCorpusShardsCtx(tctx, c, shards)
-		for _, sh := range shardAnalyzed {
-			analyzed = append(analyzed, sh...)
-		}
-	} else {
-		analyzed = d.MineCorpusCtx(tctx, c)
-	}
+	analyzed := d.MineCorpus(tctx, c)
 	fmt.Printf("mined %d code changes from %d training projects\n\n",
 		len(analyzed), len(c.TrainingProjects()))
 	for _, cls := range classes {
-		var r core.ClassPipelineResult
-		if shards > 1 {
-			parts := make([]core.ClassPipelineResult, len(shardAnalyzed))
-			for i, sh := range shardAnalyzed {
-				parts[i] = d.RunClassCtx(tctx, sh, cls)
-			}
-			r = core.MergeClassResults(cls, parts...)
-		} else {
-			r = d.RunClassCtx(tctx, analyzed, cls)
-		}
+		r := d.RunClass(tctx, analyzed, cls)
 		s := r.Stats
 		fmt.Printf("%s: %d usage changes → fsame %d → fadd %d → frem %d → fdup %d\n",
 			cls, s.Total, s.AfterSame, s.AfterAdd, s.AfterRem, s.AfterDup)
@@ -266,7 +255,7 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 			fmt.Printf("  [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.Meta.Message)
 		}
 		if len(r.Survivors) > 1 {
-			root := d.ClusterChangesCtx(tctx, r.Survivors)
+			root := d.ClusterChanges(tctx, r.Survivors)
 			fmt.Println("dendrogram:")
 			fmt.Print(indent(cluster.Render(root, func(i int) string {
 				uc := r.Survivors[i]

@@ -110,9 +110,12 @@ func main() {
 		Ledger:           resilience.NewLedger(),
 		Workers:          std.Workers(),
 		DisableDistCache: !std.DistCache(),
-		// -cache-dir wires the artifact store through the checker paths
-		// (Figure 10, -trend); the evaluation harness itself strips it
-		// (NewEvaluationCtx needs live analysis results for Figure 7).
+		// -cache-dir reaches only the method-summary table that the -fig 10
+		// shortcut (CheckCorpus) and -trend build over it: both parse and
+		// interpret every project live, with no parse or check artifacts.
+		// The evaluation harness strips the store (NewEvaluationCtx needs
+		// live analysis results for Figure 7), so a full run's Figure 10
+		// does not see it either.
 		Artifacts: std.Artifacts(run.Reg),
 	}
 

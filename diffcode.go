@@ -1,6 +1,8 @@
 package diffcode
 
 import (
+	"context"
+
 	"repro/internal/analysis"
 	"repro/internal/change"
 	"repro/internal/cluster"
@@ -152,7 +154,7 @@ func MineCorpus(c *Corpus, minCommits int) []CodeChange {
 
 // NewEvaluation mines and analyzes a corpus once for figure regeneration.
 func NewEvaluation(c *Corpus, opts Options) *Evaluation {
-	return core.NewEvaluation(c, opts)
+	return core.NewEvaluationCtx(context.Background(), c, opts)
 }
 
 // UnifiedDiff renders a "-/+" patch between two sources with ctx lines of
@@ -166,7 +168,7 @@ func UnifiedDiff(old, new string, ctx int) string {
 // interpreted, their usage DAGs paired, and each pair diffed into (F−, F+).
 func DiffSources(oldSrc, newSrc, class string, opts Options) []UsageChange {
 	d := core.New(opts)
-	a, err := d.AnalyzeChange(mining.CodeChange{Old: oldSrc, New: newSrc})
+	a, err := d.AnalyzeChange(context.Background(), mining.CodeChange{Old: oldSrc, New: newSrc})
 	if err != nil {
 		return nil
 	}
@@ -174,20 +176,27 @@ func DiffSources(oldSrc, newSrc, class string, opts Options) []UsageChange {
 }
 
 // BuildDAGs analyzes a Java source and returns the usage DAGs of the given
-// class (one per allocation site).
-func BuildDAGs(src, class string, opts Options) []*Graph {
-	return core.BuildDAGs(src, class, opts)
+// class (one per allocation site). The analysis runs guarded, on the
+// budget of opts.BudgetSteps/BudgetWall; a panic or an exhausted budget
+// is returned as an error.
+func BuildDAGs(src, class string, opts Options) ([]*Graph, error) {
+	return core.BuildDAGs(context.Background(), src, class, opts)
 }
 
-// CheckSource runs CryptoChecker's 13 rules over a single Java source.
-func CheckSource(src string, ctx RuleContext, opts Options) []Violation {
-	checker := core.NewChecker(nil, opts)
-	return checker.CheckSources(map[string]string{"Main.java": src}, ctx)
+// CheckSource runs CryptoChecker's 13 rules over a single Java source,
+// guarded and budgeted like BuildDAGs.
+func CheckSource(src string, ctx RuleContext, opts Options) ([]Violation, error) {
+	out, err := core.NewChecker(nil, opts).CheckRequest(context.Background(), map[string]string{"Main.java": src}, ctx, false)
+	if err != nil {
+		return nil, err
+	}
+	return out.Violations, nil
 }
 
 // AnalyzeUsages exposes the abstract usages AUses of a source (primarily
 // for tooling and tests). Analyzer limits, Metrics and the summary table
-// of opts apply, as in BuildDAGs.
-func AnalyzeUsages(src string, opts Options) *analysis.Result {
-	return core.AnalyzeSource(src, opts)
+// of opts apply, and the analysis is guarded and budgeted, as in
+// BuildDAGs.
+func AnalyzeUsages(src string, opts Options) (*analysis.Result, error) {
+	return core.AnalyzeSource(context.Background(), src, opts)
 }

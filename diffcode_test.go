@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 // TestPublicAPIPaperExample drives the whole public surface on the paper's
@@ -39,8 +41,8 @@ func TestPublicAPIPaperExample(t *testing.T) {
 
 	// The suggested rule flags old code and accepts new code.
 	rule := SuggestRule(c)
-	oldRes := AnalyzeUsages(benchOld, Options{})
-	newRes := AnalyzeUsages(benchNew, Options{})
+	oldRes := mustUsages(t, benchOld, Options{})
+	newRes := mustUsages(t, benchNew, Options{})
 	if ok, _ := rule.Matches(oldRes, RuleContext{}); !ok {
 		t.Error("suggested rule misses the vulnerable version")
 	}
@@ -53,7 +55,7 @@ func TestPublicAPIPaperExample(t *testing.T) {
 // analyzer, so a registry in Options.Metrics sees the run.
 func TestAnalyzeUsagesHonoursOptions(t *testing.T) {
 	reg := obs.NewRegistry()
-	AnalyzeUsages(benchOld, Options{Metrics: reg})
+	mustUsages(t, benchOld, Options{Metrics: reg})
 	if n := reg.Counter("analysis.runs").Value(); n != 1 {
 		t.Errorf("analysis.runs = %d, want 1", n)
 	}
@@ -68,7 +70,7 @@ class V {
     }
 }
 `
-	vs := CheckSource(vulnerable, RuleContext{}, Options{})
+	vs := mustCheck(t, vulnerable, RuleContext{}, Options{})
 	ids := map[string]bool{}
 	for _, v := range vs {
 		ids[v.Rule.ID] = true
@@ -135,4 +137,59 @@ func TestDefaultCorpusConfig(t *testing.T) {
 	if cfg.Projects != 461 || cfg.ExtraProjects != 58 || cfg.Scale != 1.0 {
 		t.Errorf("default config = %+v", cfg)
 	}
+}
+
+// TestFacadeAnalysisIsGuarded: a panic inside the analysis behind
+// AnalyzeUsages, BuildDAGs and CheckSource is returned as an error rather
+// than crashing the caller.
+func TestFacadeAnalysisIsGuarded(t *testing.T) {
+	defer resilience.ClearFaultInjector()
+	resilience.SetFaultInjector(func(task string) error {
+		if task == "analyze source" || task == "check" {
+			panic("facade chaos")
+		}
+		return nil
+	})
+	if res, err := AnalyzeUsages(benchOld, Options{}); res != nil || resilience.Categorize(err) != resilience.CatPanic {
+		t.Errorf("AnalyzeUsages = %v, %v; want a panic error", res, err)
+	}
+	if gs, err := BuildDAGs(benchOld, Cipher, Options{}); gs != nil || resilience.Categorize(err) != resilience.CatPanic {
+		t.Errorf("BuildDAGs = %v, %v; want a panic error", gs, err)
+	}
+	if vs, err := CheckSource(benchOld, RuleContext{}, Options{}); vs != nil || resilience.Categorize(err) != resilience.CatPanic {
+		t.Errorf("CheckSource = %v, %v; want a panic error", vs, err)
+	}
+}
+
+// mustDAGs is BuildDAGs for tests and benchmarks: an analysis
+// error fails b.
+func mustDAGs(b testing.TB, src, class string, opts Options) []*Graph {
+	b.Helper()
+	gs, err := BuildDAGs(src, class, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gs
+}
+
+// mustUsages is AnalyzeUsages for tests and benchmarks: an analysis
+// error fails b.
+func mustUsages(b testing.TB, src string, opts Options) *analysis.Result {
+	b.Helper()
+	res, err := AnalyzeUsages(src, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// mustCheck is CheckSource for tests and benchmarks: a check error
+// fails b.
+func mustCheck(b testing.TB, src string, rctx RuleContext, opts Options) []Violation {
+	b.Helper()
+	vs, err := CheckSource(src, rctx, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return vs
 }

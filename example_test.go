@@ -46,7 +46,11 @@ func ExampleDiffSources() {
 
 // ExampleCheckSource flags the vulnerable version with the elicited rules.
 func ExampleCheckSource() {
-	for _, v := range diffcode.CheckSource(exOld, diffcode.RuleContext{}, diffcode.Options{}) {
+	vs, err := diffcode.CheckSource(exOld, diffcode.RuleContext{}, diffcode.Options{})
+	if err != nil {
+		panic(err)
+	}
+	for _, v := range vs {
 		fmt.Println(v.Rule.ID, "-", v.Rule.Description)
 	}
 	// Output:
@@ -61,9 +65,12 @@ func ExampleParseRule() {
 	if err != nil {
 		panic(err)
 	}
-	res := diffcode.AnalyzeUsages(`
+	res, err := diffcode.AnalyzeUsages(`
 class T { void m() throws Exception { Cipher c = Cipher.getInstance("RC4"); } }`,
 		diffcode.Options{})
+	if err != nil {
+		panic(err)
+	}
 	matched, _ := rule.Matches(res, diffcode.RuleContext{})
 	fmt.Println(matched)
 	// Output: true
@@ -74,8 +81,16 @@ func ExampleSuggestRule() {
 	changes := diffcode.DiffSources(exOld, exNew, diffcode.Cipher, diffcode.Options{})
 	kept, _ := diffcode.Filter(changes)
 	rule := diffcode.SuggestRule(kept[0])
-	oldMatch, _ := rule.Matches(diffcode.AnalyzeUsages(exOld, diffcode.Options{}), diffcode.RuleContext{})
-	newMatch, _ := rule.Matches(diffcode.AnalyzeUsages(exNew, diffcode.Options{}), diffcode.RuleContext{})
+	oldRes, err := diffcode.AnalyzeUsages(exOld, diffcode.Options{})
+	if err != nil {
+		panic(err)
+	}
+	newRes, err := diffcode.AnalyzeUsages(exNew, diffcode.Options{})
+	if err != nil {
+		panic(err)
+	}
+	oldMatch, _ := rule.Matches(oldRes, diffcode.RuleContext{})
+	newMatch, _ := rule.Matches(newRes, diffcode.RuleContext{})
 	fmt.Println(oldMatch, newMatch)
 	// Output: true false
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	diffcode "repro"
 )
@@ -62,7 +63,10 @@ func main() {
 	opts := diffcode.Options{}
 
 	fmt.Println("=== CryptoChecker on the vulnerable vault ===")
-	violations := diffcode.CheckSource(vulnerable, ctx, opts)
+	violations, err := diffcode.CheckSource(vulnerable, ctx, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, v := range violations {
 		fmt.Printf("%-4s %s\n", v.Rule.ID, v.Rule.Description)
 		fmt.Printf("     %s\n", v.Rule.Formula)
@@ -73,7 +77,10 @@ func main() {
 	fmt.Printf("→ %d rules matched\n\n", len(violations))
 
 	fmt.Println("=== After applying the mined fixes ===")
-	after := diffcode.CheckSource(fixed, ctx, opts)
+	after, err := diffcode.CheckSource(fixed, ctx, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if len(after) == 0 {
 		fmt.Println("no rule violations — the vault now follows all 13 rules")
 	}

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	diffcode "repro"
 )
@@ -56,14 +57,22 @@ func main() {
 	opts := diffcode.Options{}
 
 	fmt.Println("=== Usage DAG paths of the first Cipher object, old version (Figure 2b) ===")
-	for _, g := range diffcode.BuildDAGs(oldVersion, diffcode.Cipher, opts)[:1] {
+	oldGs, err := diffcode.BuildDAGs(oldVersion, diffcode.Cipher, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, g := range oldGs[:1] {
 		for _, p := range g.Paths() {
 			fmt.Println("  " + p.String())
 		}
 	}
 	fmt.Println()
 	fmt.Println("=== Usage DAG paths, new version (Figure 2c) ===")
-	for _, g := range diffcode.BuildDAGs(newVersion, diffcode.Cipher, opts)[:1] {
+	newGs, err := diffcode.BuildDAGs(newVersion, diffcode.Cipher, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, g := range newGs[:1] {
 		for _, p := range g.Paths() {
 			fmt.Println("  " + p.String())
 		}
@@ -83,8 +92,14 @@ func main() {
 	fmt.Println("=== Auto-suggested rule (paper §6.3) ===")
 	rule := diffcode.SuggestRule(kept[0])
 	fmt.Println(rule.Formula)
-	oldRes := diffcode.AnalyzeUsages(oldVersion, opts)
-	newRes := diffcode.AnalyzeUsages(newVersion, opts)
+	oldRes, err := diffcode.AnalyzeUsages(oldVersion, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	newRes, err := diffcode.AnalyzeUsages(newVersion, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	oldHit, _ := rule.Matches(oldRes, diffcode.RuleContext{})
 	newHit, _ := rule.Matches(newRes, diffcode.RuleContext{})
 	fmt.Printf("matches the vulnerable version: %t (want true)\n", oldHit)

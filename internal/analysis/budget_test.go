@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,12 @@ import (
 
 	"repro/internal/resilience"
 )
+
+// analyzeSourceBudgeted interprets a single-file program and surfaces the
+// budget error that Analyze drops.
+func analyzeSourceBudgeted(src string, opts Options) (*Result, error) {
+	return AnalyzeBudgetedCtx(context.Background(), ParseProgram(map[string]string{"Main.java": src}), opts)
+}
 
 // forkBombSource builds a legal Java method whose abstract execution visits
 // a large number of statements/expressions: n sequential if-statements, each
@@ -26,7 +33,7 @@ func forkBombSource(n int) string {
 func TestBudgetExhaustedOnForkHeavySnippet(t *testing.T) {
 	src := forkBombSource(400)
 	b := resilience.NewBudget(5000, 0)
-	res, err := AnalyzeSourceBudgeted(src, Options{Budget: b})
+	res, err := analyzeSourceBudgeted(src, Options{Budget: b})
 	if !errors.Is(err, resilience.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -41,7 +48,7 @@ func TestBudgetExhaustedOnForkHeavySnippet(t *testing.T) {
 func TestBudgetLargeEnoughIsNoOp(t *testing.T) {
 	src := forkBombSource(40)
 	unbudgeted := AnalyzeSource(src, Options{})
-	res, err := AnalyzeSourceBudgeted(src, Options{Budget: resilience.NewBudget(1<<30, 0)})
+	res, err := analyzeSourceBudgeted(src, Options{Budget: resilience.NewBudget(1<<30, 0)})
 	if err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
@@ -53,7 +60,7 @@ func TestBudgetLargeEnoughIsNoOp(t *testing.T) {
 
 func TestNilBudgetMatchesAnalyze(t *testing.T) {
 	src := `class A { void m() { javax.crypto.Cipher c = javax.crypto.Cipher.getInstance("AES"); c.doFinal(); } }`
-	res, err := AnalyzeSourceBudgeted(src, Options{})
+	res, err := analyzeSourceBudgeted(src, Options{})
 	if err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}

@@ -29,7 +29,7 @@ func FuzzSummaryReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		run := func(tbl *summary.Table) string {
-			r, err := AnalyzeSourceBudgeted(src, Options{
+			r, err := analyzeSourceBudgeted(src, Options{
 				Budget:    resilience.NewBudget(fuzzReplayBudget, 0),
 				Summaries: tbl,
 			})

@@ -2,19 +2,12 @@ package analysis
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/javaast"
 	"repro/internal/javaparser"
-	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // Normalized returns the options with the analyzer defaults applied — the
@@ -51,56 +44,26 @@ func decodeParseArtifact(b []byte) (any, error) {
 	return &pa, nil
 }
 
-// ParseProgramStoreCtx is ParseProgramPoolCtx backed by an artifact store:
-// each file's parse is addressed by its content alone (option changes never
-// invalidate parse artifacts), concurrent parses of identical content share
-// one run (per-key single-flight), and cached units are shared read-only —
-// the analyzer never mutates the AST. A nil store is exactly
-// ParseProgramPoolCtx; the Program, its telemetry, and the span tree are
-// identical either way.
-func ParseProgramStoreCtx(ctx context.Context, sources map[string]string, reg *obs.Registry, pool *parallel.Pool, st *artifact.Store) *Program {
+// parseFile parses one source file, through st when it is non-nil: the
+// parse is addressed by content, concurrent parses of the same content
+// share one run (per-key single-flight), and a stored unit is reused.
+func parseFile(st *artifact.Store, src string) *parseArtifact {
 	if st == nil {
-		return ParseProgramPoolCtx(ctx, sources, reg, pool)
+		return parseSource(src)
 	}
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		if dot := strings.LastIndexByte(n, '.'); dot >= 0 && !strings.HasSuffix(n, ".java") {
-			continue
+	k := artifact.NewKey(artifact.KindParse, src)
+	v, _ := st.Do(artifact.KindParse, k, func() (any, error) {
+		if v, ok := st.Get(artifact.KindParse, k, decodeParseArtifact); ok {
+			return v, nil
 		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pctx, psp := trace.Start(ctx, "parse")
-	psp.SetAttr("files", strconv.Itoa(len(names)))
-	defer psp.End()
-	p := &Program{Files: make([]File, len(names)), SourceFP: sourceFingerprint(names, sources)}
-	errCounts := make([]int64, len(names))
-	var bytes, parseErrs int64
-	pool.ForEachCtx(trace.Detach(pctx), "file", len(names), func(fctx context.Context, i int) {
-		trace.FromContext(fctx).SetAttr("name", names[i])
-		src := sources[names[i]]
-		k := artifact.NewKey(artifact.KindParse, src)
-		v, _ := st.Do(artifact.KindParse, k, func() (any, error) {
-			if v, ok := st.Get(artifact.KindParse, k, decodeParseArtifact); ok {
-				return v, nil
-			}
-			res := javaparser.Parse(src)
-			pa := &parseArtifact{Unit: res.Unit, Errs: len(res.Errors)}
-			st.Put(artifact.KindParse, k, pa, func() ([]byte, error) { return encodeParseArtifact(pa) })
-			return pa, nil
-		})
-		pa := v.(*parseArtifact)
-		p.Files[i] = File{Name: names[i], Unit: pa.Unit}
-		errCounts[i] = int64(pa.Errs)
+		pa := parseSource(src)
+		st.Put(artifact.KindParse, k, pa, func() ([]byte, error) { return encodeParseArtifact(pa) })
+		return pa, nil
 	})
-	for i, n := range names {
-		bytes += int64(len(sources[n]))
-		parseErrs += errCounts[i]
-	}
-	if reg != nil {
-		reg.Counter("parse.files").Add(int64(len(names)))
-		reg.Counter("parse.bytes").Add(bytes)
-		reg.Counter("parse.errors").Add(parseErrs)
-	}
-	return p
+	return v.(*parseArtifact)
+}
+
+func parseSource(src string) *parseArtifact {
+	res := javaparser.Parse(src)
+	return &parseArtifact{Unit: res.Unit, Errs: len(res.Errors)}
 }

@@ -80,24 +80,15 @@ func (n *Node) Items() []int {
 	return out
 }
 
-// DistMatrix computes the symmetric usageDist matrix over usage changes.
-func DistMatrix(changes []change.UsageChange) [][]float64 {
-	return DistMatrixObs(changes, nil)
-}
-
-// DistMatrixObs is DistMatrix with telemetry: every pairwise UsageDist
-// evaluation is counted into reg (nil reg is a no-op).
-func DistMatrixObs(changes []change.UsageChange, reg *obs.Registry) [][]float64 {
-	return DistMatrixPool(changes, reg, nil)
-}
-
-// DistMatrixPool is DistMatrixObs over a worker pool: the strict upper
-// triangle is split into row chunks balanced by pair count (row i owns
-// n-1-i pairs) and computed concurrently. Each pair (i, j) is owned by
-// exactly one chunk, which writes both d[i][j] and d[j][i], so chunks
-// never touch the same cell and the result is identical to the serial
-// matrix at any worker count. A nil or one-worker pool runs serially.
-func DistMatrixPool(changes []change.UsageChange, reg *obs.Registry, p *parallel.Pool) [][]float64 {
+// distMatrix computes the symmetric usageDist matrix over usage changes,
+// counting every pairwise evaluation into reg. The strict upper triangle is
+// split into row chunks balanced by pair count (row i owns n-1-i pairs)
+// and computed on p. Each pair (i, j) is owned by exactly one chunk, which
+// writes both d[i][j] and d[j][i], so chunks never touch the same cell and
+// the result is identical to the serial matrix at any worker count. A nil
+// or one-worker pool runs serially. It is DistMatrixEngine's uncached path
+// and the tests' reference for the cached one.
+func distMatrix(changes []change.UsageChange, reg *obs.Registry, p *parallel.Pool) [][]float64 {
 	n := len(changes)
 	d := make([][]float64, n)
 	for i := range d {
@@ -124,36 +115,6 @@ func DistMatrixPool(changes []change.UsageChange, reg *obs.Registry, p *parallel
 	}
 	reg.Counter("cluster.dist_computations").Add(int64(n) * int64(n-1) / 2)
 	return d
-}
-
-// Agglomerate builds the dendrogram over the given usage changes. It
-// returns nil for empty input; a single change yields a lone leaf.
-func Agglomerate(changes []change.UsageChange, linkage Linkage) *Node {
-	return AgglomerateObs(changes, linkage, nil)
-}
-
-// AgglomerateObs is Agglomerate with telemetry: distance computations,
-// merge iterations, and candidate-pair scans are counted into reg.
-func AgglomerateObs(changes []change.UsageChange, linkage Linkage, reg *obs.Registry) *Node {
-	return AgglomeratePool(changes, linkage, reg, nil)
-}
-
-// AgglomeratePool is AgglomerateObs over a worker pool: both the distance
-// matrix and the per-merge scans/updates run row-chunked. The dendrogram is
-// identical at any worker count (see AgglomerateMatrixPool).
-func AgglomeratePool(changes []change.UsageChange, linkage Linkage, reg *obs.Registry, p *parallel.Pool) *Node {
-	return AgglomerateMatrixPool(DistMatrixPool(changes, reg, p), linkage, reg, p)
-}
-
-// AgglomerateMatrix clusters from a precomputed distance matrix.
-// Ties break deterministically on the smallest (i, j) pair.
-func AgglomerateMatrix(dist [][]float64, linkage Linkage) *Node {
-	return AgglomerateMatrixObs(dist, linkage, nil)
-}
-
-// AgglomerateMatrixObs is AgglomerateMatrix with merge-iteration telemetry.
-func AgglomerateMatrixObs(dist [][]float64, linkage Linkage, reg *obs.Registry) *Node {
-	return AgglomerateMatrixPool(dist, linkage, reg, nil)
 }
 
 // minCand is one chunk's best merge candidate: the smallest distance seen,
@@ -191,16 +152,18 @@ func scanRows(d [][]float64, active []bool, r parallel.Range) minCand {
 	return c
 }
 
-// AgglomerateMatrixPool is AgglomerateMatrixObs over a worker pool. Each
-// merge iteration splits the candidate-pair scan and the Lance-Williams
-// row update into row chunks. Determinism: every chunk applies the serial
-// scan's strict-< tie-break, chunk results are reduced in row order (an
-// equal minimum never displaces an earlier chunk's candidate), and the row
-// update writes disjoint cells per k — so the merge order, heights, and
-// dendrogram shape are byte-identical to the serial algorithm at any
-// worker count. A nil or one-worker pool (or a small active front) runs
-// the serial loops unchanged.
-func AgglomerateMatrixPool(dist [][]float64, linkage Linkage, reg *obs.Registry, p *parallel.Pool) *Node {
+// AgglomerateMatrix clusters from a precomputed distance matrix, counting
+// merge iterations into reg. It returns nil for empty input; a single item
+// yields a lone leaf. Ties break deterministically on the smallest (i, j)
+// pair. Each merge iteration splits the candidate-pair scan and the
+// Lance-Williams row update into row chunks on p. Determinism: every chunk
+// applies the serial scan's strict-< tie-break, chunk results are reduced
+// in row order (an equal minimum never displaces an earlier chunk's
+// candidate), and the row update writes disjoint cells per k — so the
+// merge order, heights, and dendrogram shape are byte-identical to the
+// serial algorithm at any worker count. A nil or one-worker pool (or a
+// small active front) runs the serial loops unchanged.
+func AgglomerateMatrix(dist [][]float64, linkage Linkage, reg *obs.Registry, p *parallel.Pool) *Node {
 	n := len(dist)
 	if n == 0 {
 		return nil

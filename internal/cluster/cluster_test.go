@@ -39,7 +39,7 @@ func figure8Changes() []change.UsageChange {
 }
 
 func TestDistMatrixSymmetry(t *testing.T) {
-	d := DistMatrix(figure8Changes())
+	d := distMatrix(figure8Changes(), nil, nil)
 	for i := range d {
 		if d[i][i] != 0 {
 			t.Errorf("d[%d][%d] = %v, want 0", i, i, d[i][i])
@@ -57,7 +57,7 @@ func TestDistMatrixSymmetry(t *testing.T) {
 
 func TestFigure8ECBClusterForms(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomerateEngine(changes, Complete, nil, nil, nil)
 	if root == nil || root.Size() != len(changes) {
 		t.Fatalf("dendrogram size = %v", root)
 	}
@@ -92,7 +92,7 @@ func TestFigure8ECBClusterForms(t *testing.T) {
 
 func TestCutExtremes(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomerateEngine(changes, Complete, nil, nil, nil)
 	// Threshold below every merge: all singletons.
 	singles := root.Cut(-1)
 	if len(singles) != len(changes) {
@@ -115,8 +115,8 @@ func TestSingleVsCompleteLinkage(t *testing.T) {
 		{0.5, 0.1, 0.0, 0.1},
 		{0.9, 0.5, 0.1, 0.0},
 	}
-	single := AgglomerateMatrix(d, Single)
-	complete := AgglomerateMatrix(d, Complete)
+	single := AgglomerateMatrix(d, Single, nil, nil)
+	complete := AgglomerateMatrix(d, Complete, nil, nil)
 	if single.Height >= complete.Height {
 		t.Errorf("single root height %v should be below complete %v",
 			single.Height, complete.Height)
@@ -135,7 +135,7 @@ func TestAverageLinkage(t *testing.T) {
 		{0.2, 0, 0.6},
 		{1.0, 0.6, 0},
 	}
-	root := AgglomerateMatrix(d, Average)
+	root := AgglomerateMatrix(d, Average, nil, nil)
 	// First merge {0,1} at 0.2; then cluster to 2 at (1.0+0.6)/2 = 0.8.
 	if math.Abs(root.Height-0.8) > 1e-12 {
 		t.Errorf("UPGMA root height = %v, want 0.8", root.Height)
@@ -143,11 +143,11 @@ func TestAverageLinkage(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if Agglomerate(nil, Complete) != nil {
+	if AgglomerateEngine(nil, Complete, nil, nil, nil) != nil {
 		t.Error("empty input should give nil dendrogram")
 	}
 	one := []change.UsageChange{mkChange("AES", "AES/GCM")}
-	root := Agglomerate(one, Complete)
+	root := AgglomerateEngine(one, Complete, nil, nil, nil)
 	if root == nil || !root.IsLeaf() || root.Item != 0 {
 		t.Errorf("singleton root = %+v", root)
 	}
@@ -158,7 +158,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func TestItemsCoverAllLeaves(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomerateEngine(changes, Complete, nil, nil, nil)
 	items := root.Items()
 	if len(items) != len(changes) {
 		t.Fatalf("items = %v", items)
@@ -174,9 +174,9 @@ func TestItemsCoverAllLeaves(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	changes := figure8Changes()
-	r1 := Render(Agglomerate(changes, Complete), func(i int) string { return changes[i].Key() })
+	r1 := Render(AgglomerateEngine(changes, Complete, nil, nil, nil), func(i int) string { return changes[i].Key() })
 	for k := 0; k < 5; k++ {
-		r2 := Render(Agglomerate(changes, Complete), func(i int) string { return changes[i].Key() })
+		r2 := Render(AgglomerateEngine(changes, Complete, nil, nil, nil), func(i int) string { return changes[i].Key() })
 		if r1 != r2 {
 			t.Fatal("clustering not deterministic")
 		}
@@ -185,7 +185,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestRenderShape(t *testing.T) {
 	changes := figure8Changes()
-	out := Render(Agglomerate(changes, Complete), func(i int) string {
+	out := Render(AgglomerateEngine(changes, Complete, nil, nil, nil), func(i int) string {
 		return changes[i].String()
 	})
 	if !strings.Contains(out, "└─") || !strings.Contains(out, "[h=") {
@@ -217,7 +217,7 @@ func TestQuickMonotoneHeights(t *testing.T) {
 				d[i][j], d[j][i] = v, v
 			}
 		}
-		root := AgglomerateMatrix(d, Complete)
+		root := AgglomerateMatrix(d, Complete, nil, nil)
 		ok := true
 		var walk func(*Node)
 		walk = func(x *Node) {
@@ -246,10 +246,10 @@ func BenchmarkAgglomerate100(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		changes = append(changes, mkChange(modes[i%len(modes)], modes[(i+1)%len(modes)]))
 	}
-	d := DistMatrix(changes)
+	d := distMatrix(changes, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AgglomerateMatrix(d, Complete)
+		AgglomerateMatrix(d, Complete, nil, nil)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 func TestCopheneticMatrixTwoBlobs(t *testing.T) {
 	d := twoBlobs()
-	root := AgglomerateMatrix(d, Complete)
+	root := AgglomerateMatrix(d, Complete, nil, nil)
 	coph := CopheneticMatrix(root, 6)
 	// Within a blob, leaves merge at 0.1; across blobs at 0.9.
 	if math.Abs(coph[0][1]-0.1) > 1e-12 {
@@ -33,7 +33,7 @@ func TestCopheneticCorrelationPerfect(t *testing.T) {
 	// An ultrametric input (two clean blobs) is represented exactly:
 	// correlation 1.
 	d := twoBlobs()
-	root := AgglomerateMatrix(d, Complete)
+	root := AgglomerateMatrix(d, Complete, nil, nil)
 	if c := CopheneticCorrelation(d, root); math.Abs(c-1) > 1e-9 {
 		t.Errorf("correlation on ultrametric data = %v, want 1", c)
 	}
@@ -50,7 +50,7 @@ func TestCopheneticCorrelationLinkages(t *testing.T) {
 	}
 	corr := map[Linkage]float64{}
 	for _, l := range []Linkage{Complete, Single, Average} {
-		corr[l] = CopheneticCorrelation(d, AgglomerateMatrix(d, l))
+		corr[l] = CopheneticCorrelation(d, AgglomerateMatrix(d, l, nil, nil))
 	}
 	if corr[Single] > corr[Complete]+1e-9 {
 		t.Errorf("single (%v) should not beat complete (%v) on a chain",
@@ -73,7 +73,7 @@ func TestCopheneticDegenerate(t *testing.T) {
 	}
 	// Zero-variance distances.
 	flat := [][]float64{{0, 0.5, 0.5}, {0.5, 0, 0.5}, {0.5, 0.5, 0}}
-	root := AgglomerateMatrix(flat, Complete)
+	root := AgglomerateMatrix(flat, Complete, nil, nil)
 	if c := CopheneticCorrelation(flat, root); c != 0 {
 		t.Errorf("flat metric = %v, want 0 (zero variance)", c)
 	}

@@ -62,9 +62,9 @@ func dendroFingerprint(n *Node) string {
 // parallel threshold.
 func TestDeterminismDistMatrixPool(t *testing.T) {
 	changes := genChanges(80)
-	want := DistMatrixPool(changes, nil, nil)
+	want := distMatrix(changes, nil, nil)
 	for _, w := range []int{1, 2, 8} {
-		got := DistMatrixPool(changes, nil, parallel.New(w, nil))
+		got := distMatrix(changes, nil, parallel.New(w, nil))
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {
@@ -85,9 +85,9 @@ func TestDeterminismAgglomeratePool(t *testing.T) {
 		t.Fatalf("test corpus too small to exercise the parallel scan path")
 	}
 	for _, linkage := range []Linkage{Complete, Single, Average} {
-		want := dendroFingerprint(AgglomeratePool(changes, linkage, nil, nil))
+		want := dendroFingerprint(AgglomerateEngine(changes, linkage, nil, nil, nil))
 		for _, w := range []int{1, 2, 8} {
-			got := dendroFingerprint(AgglomeratePool(changes, linkage, nil, parallel.New(w, nil)))
+			got := dendroFingerprint(AgglomerateEngine(changes, linkage, nil, parallel.New(w, nil), nil))
 			if got != want {
 				t.Errorf("linkage=%v workers=%d: dendrogram differs from serial\n got: %.120s\nwant: %.120s",
 					linkage, w, got, want)
@@ -103,7 +103,7 @@ func TestDeterminismAgglomeratePool(t *testing.T) {
 // just the cache hits.
 func TestDeterminismDistMatrixEngine(t *testing.T) {
 	changes := genChanges(80)
-	want := DistMatrixPool(changes, nil, nil)
+	want := distMatrix(changes, nil, nil)
 	for _, w := range []int{1, 2, 8} {
 		got := DistMatrixEngine(changes, nil, parallel.New(w, nil), distcache.New(nil))
 		for i := range want {
@@ -122,7 +122,7 @@ func TestDeterminismDistMatrixEngine(t *testing.T) {
 func TestDeterminismAgglomerateEngine(t *testing.T) {
 	changes := genChanges(80)
 	for _, linkage := range []Linkage{Complete, Single, Average} {
-		want := dendroFingerprint(AgglomeratePool(changes, linkage, nil, nil))
+		want := dendroFingerprint(AgglomerateEngine(changes, linkage, nil, nil, nil))
 		for _, w := range []int{1, 2, 8} {
 			got := dendroFingerprint(AgglomerateEngine(changes, linkage, nil, parallel.New(w, nil), distcache.New(nil)))
 			if got != want {
@@ -139,7 +139,7 @@ func TestDeterminismEngineReuse(t *testing.T) {
 	eng := distcache.New(nil)
 	for _, n := range []int{10, 40, 80} {
 		changes := genChanges(n)
-		want := DistMatrixPool(changes, nil, nil)
+		want := distMatrix(changes, nil, nil)
 		got := DistMatrixEngine(changes, nil, nil, eng)
 		for i := range want {
 			for j := range want[i] {
@@ -156,9 +156,9 @@ func TestDeterminismEngineReuse(t *testing.T) {
 func TestDeterminismRenderAcrossWorkers(t *testing.T) {
 	changes := genChanges(70)
 	label := func(i int) string { return fmt.Sprintf("c%d", i) }
-	want := Render(Agglomerate(changes, Complete), label)
+	want := Render(AgglomerateEngine(changes, Complete, nil, nil, nil), label)
 	for _, w := range []int{2, 8} {
-		got := Render(AgglomeratePool(changes, Complete, nil, parallel.New(w, nil)), label)
+		got := Render(AgglomerateEngine(changes, Complete, nil, parallel.New(w, nil), nil), label)
 		if got != want {
 			t.Errorf("workers=%d: rendering differs from serial", w)
 		}

@@ -14,18 +14,20 @@ type internedChange struct {
 	rem, add []distcache.PathRef
 }
 
-// DistMatrixEngine is DistMatrixPool routed through a memoized distance
-// engine. On top of the engine's label- and path-level caches it adds
+// DistMatrixEngine computes the symmetric usageDist matrix over usage
+// changes on p, counting pairwise evaluations into reg, with the distance
+// kernels routed through a memoized engine. On top of the engine's label- and path-level caches it adds
 // matrix-level deduplication: changes are fingerprinted (order-sensitive, see
 // distcache.AppendFingerprint), one representative per distinct fingerprint
 // enters the pairwise loop, and representative rows fan out to duplicate
 // slots. Duplicates are byte-identical inputs, so the fan-out copies exactly
 // the values the full loop would have produced (identical-pair distances are
 // exactly 0.0: every summand of the assignment objective is a non-negative
-// float and the zero matching is optimal). A nil engine is the uncached path.
+// float and the zero matching is optimal). A nil engine is the uncached
+// path; the matrix is identical either way, at any worker count.
 func DistMatrixEngine(changes []change.UsageChange, reg *obs.Registry, p *parallel.Pool, eng *distcache.Engine) [][]float64 {
 	if eng == nil {
-		return DistMatrixPool(changes, reg, p)
+		return distMatrix(changes, reg, p)
 	}
 	n := len(changes)
 	ic := make([]internedChange, n)
@@ -83,10 +85,10 @@ func DistMatrixEngine(changes []change.UsageChange, reg *obs.Registry, p *parall
 	return d
 }
 
-// AgglomerateEngine is AgglomeratePool with the distance matrix routed
-// through a memoized engine. The merge phase is untouched — it consumes a
-// matrix that is byte-identical to the uncached one — so the dendrogram is
-// identical with the cache on or off, at any worker count.
+// AgglomerateEngine builds the dendrogram over the given usage changes:
+// DistMatrixEngine followed by AgglomerateMatrix. The merge phase consumes
+// a matrix that is byte-identical to the uncached one, so the dendrogram is
+// identical with the engine on or off (nil), at any worker count.
 func AgglomerateEngine(changes []change.UsageChange, linkage Linkage, reg *obs.Registry, p *parallel.Pool, eng *distcache.Engine) *Node {
-	return AgglomerateMatrixPool(DistMatrixEngine(changes, reg, p, eng), linkage, reg, p)
+	return AgglomerateMatrix(DistMatrixEngine(changes, reg, p, eng), linkage, reg, p)
 }

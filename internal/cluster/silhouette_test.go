@@ -60,7 +60,7 @@ func TestSilhouetteDegenerate(t *testing.T) {
 
 func TestCutAutoFindsBlobs(t *testing.T) {
 	d := twoBlobs()
-	root := AgglomerateMatrix(d, Complete)
+	root := AgglomerateMatrix(d, Complete, nil, nil)
 	clusters, th := CutAuto(root, d)
 	if len(clusters) != 2 {
 		t.Fatalf("auto cut found %d clusters (th=%v): %v", len(clusters), th, clusters)
@@ -98,7 +98,7 @@ func TestCutAutoThreeGroups(t *testing.T) {
 			}
 		}
 	}
-	root := AgglomerateMatrix(d, Complete)
+	root := AgglomerateMatrix(d, Complete, nil, nil)
 	clusters, _ := CutAuto(root, d)
 	if len(clusters) != 3 {
 		t.Fatalf("auto cut = %v, want 3 pairs", clusters)
@@ -116,7 +116,7 @@ func TestCutAutoTrivialInputs(t *testing.T) {
 	}
 	// Two items: falls back to the sub-root cut.
 	d := [][]float64{{0, 0.5}, {0.5, 0}}
-	root := AgglomerateMatrix(d, Complete)
+	root := AgglomerateMatrix(d, Complete, nil, nil)
 	cl, _ = CutAuto(root, d)
 	if len(cl) != 2 {
 		t.Errorf("two-item cut = %v", cl)

@@ -73,7 +73,7 @@ func TestArtifactSingleFlightRaceHammer(t *testing.T) {
 			reg := obs.NewRegistry()
 			st := artifact.New(artifact.Config{Metrics: reg})
 			d := New(Options{Workers: workers, Metrics: reg, Artifacts: st})
-			analyzed := d.AnalyzeAll(duplicateHeavyBatch(batch, distinct))
+			analyzed := d.AnalyzeAll(context.Background(), duplicateHeavyBatch(batch, distinct))
 			for i, a := range analyzed {
 				if a == nil {
 					t.Fatalf("change %d skipped unexpectedly", i)
@@ -99,7 +99,7 @@ func TestArtifactSingleFlightRaceHammer(t *testing.T) {
 			// A second DiffCode over the same store is fully warm: zero new
 			// computes, every change an artifact hit.
 			warm := New(Options{Workers: workers, Metrics: reg, Artifacts: st})
-			for i, a := range warm.AnalyzeAll(duplicateHeavyBatch(batch, distinct)) {
+			for i, a := range warm.AnalyzeAll(context.Background(), duplicateHeavyBatch(batch, distinct)) {
 				if a == nil {
 					t.Fatalf("warm change %d skipped unexpectedly", i)
 				}
@@ -129,7 +129,7 @@ func runBatch(t *testing.T, dir string, ccs []mining.CodeChange, opts Options) (
 	opts.Metrics = reg
 	opts.Artifacts = artifact.New(artifact.Config{Dir: dir, Metrics: reg})
 	d := New(opts)
-	analyzed := d.AnalyzeAll(ccs)
+	analyzed := d.AnalyzeAll(context.Background(), ccs)
 	for i, a := range analyzed {
 		if a == nil {
 			t.Fatalf("change %d skipped unexpectedly", i)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/corpus"
+	"repro/internal/cryptoapi"
 	"repro/internal/mining"
 	"repro/internal/resilience"
 )
@@ -102,7 +104,7 @@ func TestAnalyzeAllChaos(t *testing.T) {
 			})
 
 			d := New(Options{BudgetSteps: 5000, Workers: 4})
-			out := d.AnalyzeAll(ccs)
+			out := d.AnalyzeAll(context.Background(), ccs)
 
 			if len(out) != len(ccs) {
 				t.Fatalf("AnalyzeAll returned %d slots, want %d", len(out), len(ccs))
@@ -188,7 +190,7 @@ func TestMineCorpusChaos(t *testing.T) {
 	})
 
 	d := New(Options{})
-	analyzed := d.MineCorpus(c)
+	analyzed := d.MineCorpus(context.Background(), c)
 	if len(analyzed) != n-k {
 		t.Errorf("MineCorpus returned %d changes, want %d (n=%d − k=%d)", len(analyzed), n-k, n, k)
 	}
@@ -226,7 +228,7 @@ func TestAnalyzeAllFailFast(t *testing.T) {
 		ccs[i] = tinyChange(i)
 	}
 	d := New(Options{FailFast: true, Workers: 1})
-	out := d.AnalyzeAll(ccs)
+	out := d.AnalyzeAll(context.Background(), ccs)
 	for i, a := range out {
 		if a != nil {
 			t.Errorf("slot %d non-nil; every change should have failed or been skipped", i)
@@ -252,7 +254,7 @@ func TestAnalyzeAllMaxErrors(t *testing.T) {
 		ccs[i] = tinyChange(i)
 	}
 	d := New(Options{MaxErrors: 3, Workers: 1})
-	d.AnalyzeAll(ccs)
+	d.AnalyzeAll(context.Background(), ccs)
 	if got := d.Ledger().Len(); got != 3 {
 		t.Errorf("max-errors recorded %d failures, want 3", got)
 	}
@@ -272,7 +274,7 @@ func TestRunClassExtractGuard(t *testing.T) {
 		ccs[i] = tinyChange(i)
 	}
 	d := New(Options{})
-	analyzed := d.AnalyzeAll(ccs)
+	analyzed := d.AnalyzeAll(context.Background(), ccs)
 	if n := d.Ledger().Len(); n != 0 {
 		t.Fatalf("setup: ledger has %d entries, want 0", n)
 	}
@@ -286,7 +288,7 @@ func TestRunClassExtractGuard(t *testing.T) {
 		}
 		return nil
 	})
-	r := d.RunClass(analyzed, "Cipher")
+	r := d.RunClass(context.Background(), analyzed, "Cipher")
 	if r.Stats.Total == 0 {
 		t.Error("RunClass extracted nothing; other changes should still contribute")
 	}
@@ -307,7 +309,7 @@ func TestAnalyzeAllHappyPath(t *testing.T) {
 		ccs[i] = tinyChange(i)
 	}
 	d := New(Options{BudgetSteps: 1 << 20})
-	out := d.AnalyzeAll(ccs)
+	out := d.AnalyzeAll(context.Background(), ccs)
 	for i, a := range out {
 		if a == nil {
 			t.Errorf("slot %d nil on the happy path", i)
@@ -316,7 +318,7 @@ func TestAnalyzeAllHappyPath(t *testing.T) {
 	if got := d.Ledger().Len(); got != 0 {
 		t.Errorf("happy path recorded %d failures, want 0:\n%s", got, d.Ledger().Report())
 	}
-	a, err := d.AnalyzeChange(ccs[0])
+	a, err := d.AnalyzeChange(context.Background(), ccs[0])
 	if err != nil || a == nil {
 		t.Errorf("AnalyzeChange = (%v, %v), want result and nil error", a, err)
 	}
@@ -328,7 +330,7 @@ func TestAnalyzeChangeBudgetError(t *testing.T) {
 	cc := tinyChange(0)
 	cc.New = forkBomb(400)
 	d := New(Options{BudgetSteps: 5000})
-	a, err := d.AnalyzeChange(cc)
+	a, err := d.AnalyzeChange(context.Background(), cc)
 	if !errors.Is(err, resilience.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -343,7 +345,7 @@ func TestAnalyzeChangeBudgetError(t *testing.T) {
 func TestFigure10ChaosSkipsProject(t *testing.T) {
 	c := corpus.Generate(corpus.Config{Seed: 7, Scale: 0.1, Projects: 6, ExtraProjects: 2})
 	intact := CheckCorpus(c, Options{Workers: 2})
-	e := NewEvaluation(c, Options{Workers: 2})
+	e := NewEvaluationCtx(context.Background(), c, Options{Workers: 2})
 	if n := e.DiffCode.Ledger().Len(); n != 0 {
 		t.Fatalf("setup: ledger has %d entries, want 0", n)
 	}
@@ -365,5 +367,71 @@ func TestFigure10ChaosSkipsProject(t *testing.T) {
 	}
 	if got := entries[0]; got.Task != "check "+victim.Name || got.Category != resilience.CatPanic || got.Meta["project"] != victim.Name {
 		t.Errorf("entry = %q %s/%s meta %v, want the victim's panic", got.Task, got.Phase, got.Category, got.Meta)
+	}
+}
+
+// TestTrendChaosSkipsProject injects a panic into one project's trend
+// check: Trend completes over the other projects, and the ledger holds
+// exactly that project's entry (task "trend <project>", phase analyze).
+func TestTrendChaosSkipsProject(t *testing.T) {
+	c := corpus.Generate(corpus.Config{Seed: 7, Scale: 0.1, Projects: 6, ExtraProjects: 2})
+	intact := Trend(c, Options{Workers: 2})
+	if intact.Projects < 2 {
+		t.Fatalf("setup: trend covers %d projects, want at least 2", intact.Projects)
+	}
+	var victim *corpus.Project
+	for _, p := range c.TrainingProjects() {
+		if p.ForkOf == "" {
+			victim = p
+		}
+	}
+	defer resilience.ClearFaultInjector()
+	resilience.SetFaultInjector(func(task string) error {
+		if task == "trend "+victim.Name {
+			panic("trend chaos")
+		}
+		return nil
+	})
+	ledger := resilience.NewLedger()
+	got := Trend(c, Options{Workers: 2, Ledger: ledger})
+	if got.Projects != intact.Projects-1 {
+		t.Errorf("trend covers %d projects, want %d (all but the victim)", got.Projects, intact.Projects-1)
+	}
+	entries := ledger.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("ledger has %d entries, want 1:\n%s", len(entries), ledger.Report())
+	}
+	e := entries[0]
+	if e.Task != "trend "+victim.Name || e.Phase != resilience.PhaseAnalyze ||
+		e.Category != resilience.CatPanic || e.Meta["project"] != victim.Name {
+		t.Errorf("entry = %q %s/%s meta %v, want the victim's panic", e.Task, e.Phase, e.Category, e.Meta)
+	}
+}
+
+// TestAnalyzeSourceGuarded: a panic inside AnalyzeSource or BuildDAGs
+// comes back as an error instead of crashing, and Options.BudgetSteps
+// bounds the analysis.
+func TestAnalyzeSourceGuarded(t *testing.T) {
+	ctx := context.Background()
+	src := tinyChange(0).Old
+	res, err := AnalyzeSource(ctx, src, Options{})
+	if err != nil || len(res.ObjsOfType(cryptoapi.Cipher)) != 1 {
+		t.Fatalf("intact AnalyzeSource = %v, %v; want one Cipher object", res, err)
+	}
+	if _, err := AnalyzeSource(ctx, forkBomb(400), Options{BudgetSteps: 5000}); !errors.Is(err, resilience.ErrBudgetExhausted) {
+		t.Errorf("budgeted AnalyzeSource err = %v, want ErrBudgetExhausted", err)
+	}
+	defer resilience.ClearFaultInjector()
+	resilience.SetFaultInjector(func(task string) error {
+		if task == "analyze source" {
+			panic("analyze source chaos")
+		}
+		return nil
+	})
+	if res, err := AnalyzeSource(ctx, src, Options{}); res != nil || resilience.Categorize(err) != resilience.CatPanic {
+		t.Errorf("AnalyzeSource = %v, %v; want a panic error", res, err)
+	}
+	if gs, err := BuildDAGs(ctx, src, cryptoapi.Cipher, Options{}); gs != nil || resilience.Categorize(err) != resilience.CatPanic {
+		t.Errorf("BuildDAGs = %v, %v; want a panic error", gs, err)
 	}
 }

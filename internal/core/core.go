@@ -138,14 +138,6 @@ func (d *DiffCode) Options() Options { return d.opts }
 // pipeline skipped instead of dying on.
 func (d *DiffCode) Ledger() *resilience.Ledger { return d.ledger }
 
-// Metrics returns the pipeline's registry (nil when uninstrumented).
-func (d *DiffCode) Metrics() *obs.Registry { return d.opts.Metrics }
-
-// Engine returns the memoized distance engine behind clustering and
-// elicitation (nil when Options.DisableDistCache is set — the nil engine is
-// the uncached path).
-func (d *DiffCode) Engine() *distcache.Engine { return d.engine }
-
 // AnalyzedChange is a mined code change with both versions analyzed. The
 // raw sources are retained so the concrete patch behind a usage change can
 // be inspected (the paper's manual elicitation step).
@@ -186,17 +178,12 @@ func taskName(cc mining.CodeChange) string {
 
 // AnalyzeChange parses and analyzes one code change. A panic anywhere in
 // parsing or analysis, or an exhausted per-change budget, is returned as an
-// error instead of propagating.
-func (d *DiffCode) AnalyzeChange(cc mining.CodeChange) (*AnalyzedChange, error) {
-	a, _, err := d.analyzeChange(context.Background(), cc, nil)
-	return a, err
-}
-
-// AnalyzeChangeCtx is AnalyzeChange bound to a request context: the
-// per-change budget is tightened by ctx's deadline and the analysis aborts
-// early (resilience.ErrCanceled) once ctx is canceled. This is the
-// request-scoped entry point behind the analysis server's /v1/analyze.
-func (d *DiffCode) AnalyzeChangeCtx(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, error) {
+// error instead of propagating. The per-change budget is tightened by ctx's
+// deadline and the analysis aborts early (resilience.ErrCanceled) once ctx
+// is canceled; this is the request-scoped entry point behind the analysis
+// server's /v1/analyze. When ctx carries a trace span, the parse and the
+// interpreter runs appear as child spans.
+func (d *DiffCode) AnalyzeChange(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, error) {
 	a, _, err := d.analyzeChange(ctx, cc, nil)
 	return a, err
 }
@@ -245,7 +232,7 @@ func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange, sh *
 	return a, "", nil
 }
 
-// sourceShare is one distinct source text of an AnalyzeAllCtx batch. Its
+// sourceShare is one distinct source text of an AnalyzeAll batch. Its
 // owner, the first change in input order (old before new) that mentions
 // the text, parses and interprets it; every other change mentioning it
 // waits on done and reuses the owner's result.
@@ -401,7 +388,7 @@ func (d *DiffCode) parseVersions(ctx context.Context, task string, srcs [2]strin
 	err = resilience.Guard(task+" [parse]", func() error {
 		for v, src := range srcs {
 			if want[v] {
-				progs[v] = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": src}, reg, nil)
+				progs[v] = analysis.ParseProgramStoreCtx(ctx, map[string]string{"Main.java": src}, reg, nil, nil)
 			}
 		}
 		return nil
@@ -459,18 +446,12 @@ func (d *DiffCode) record(cc mining.CodeChange, phase resilience.Phase, err erro
 // finish and keep their slots). Workers == 1 runs the exact serial path.
 // Each distinct source text of the batch is parsed and interpreted once,
 // by its owner (see shareSources); the results are those of analyzing
-// every change alone.
-func (d *DiffCode) AnalyzeAll(ccs []mining.CodeChange) []*AnalyzedChange {
-	return d.AnalyzeAllCtx(context.Background(), ccs)
-}
-
-// AnalyzeAllCtx is AnalyzeAll with trace propagation: when tctx carries a
-// span, the batch runs under an "analyze" child with one "change[i]" span
-// per change (ordered by input index at any worker count), each annotated
-// with its ledger failure category when the change is skipped. Only the
-// span propagates from tctx — the batch keeps its own cancellation
-// lifecycle, exactly as before.
-func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) []*AnalyzedChange {
+// every change alone. When tctx carries a span, the batch runs under an
+// "analyze" child with one "change[i]" span per change (ordered by input
+// index at any worker count), each annotated with its ledger failure
+// category when the change is skipped. Only the span propagates from tctx
+// — the batch keeps its own cancellation lifecycle.
+func (d *DiffCode) AnalyzeAll(tctx context.Context, ccs []mining.CodeChange) []*AnalyzedChange {
 	d.opts.Metrics.Gauge("pipeline.workers").Set(int64(d.opts.Workers))
 	out := make([]*AnalyzedChange, len(ccs))
 	bctx, bsp := trace.Start(tctx, "analyze")
@@ -516,22 +497,18 @@ func (d *DiffCode) ExtractClass(a *AnalyzedChange, class string) []change.UsageC
 // MineCorpus runs the full mining front-end over a corpus: collect code
 // changes, analyze both versions of each, in parallel. Changes the
 // resilience layer skipped are dropped from the result (they are recorded
-// in the ledger), so downstream stages see only analyzed changes.
-func (d *DiffCode) MineCorpus(c *corpus.Corpus) []*AnalyzedChange {
-	return d.MineCorpusCtx(context.Background(), c)
-}
-
-// MineCorpusCtx is MineCorpus with trace propagation: the collection runs
-// under a "mine" child span carrying the mined-change count, and the batch
-// analysis under AnalyzeAllCtx's "analyze" span.
-func (d *DiffCode) MineCorpusCtx(ctx context.Context, c *corpus.Corpus) []*AnalyzedChange {
+// in the ledger), so downstream stages see only analyzed changes. Under a
+// traced ctx the collection runs under a "mine" child span carrying the
+// mined-change count, and the batch analysis under AnalyzeAll's "analyze"
+// span.
+func (d *DiffCode) MineCorpus(ctx context.Context, c *corpus.Corpus) []*AnalyzedChange {
 	sp := d.opts.Metrics.StartSpan("mine")
 	_, msp := trace.Start(ctx, "mine")
 	ccs := mining.Collect(c, mining.Options{MinCommits: d.opts.MinCommits, Metrics: d.opts.Metrics})
 	msp.SetAttr("changes", fmt.Sprint(len(ccs)))
 	msp.End()
 	sp.End()
-	analyzed := d.AnalyzeAllCtx(ctx, ccs)
+	analyzed := d.AnalyzeAll(ctx, ccs)
 	out := make([]*AnalyzedChange, 0, len(analyzed))
 	for _, a := range analyzed {
 		if a != nil {
@@ -552,19 +529,15 @@ type ClassPipelineResult struct {
 // target class across analyzed changes. Extraction runs on the pipeline's
 // worker pool with ordered fan-in. Nil slots (changes the resilience layer
 // skipped) are ignored; a panic while extracting one change skips that
-// change and records it, rather than aborting the class.
-func (d *DiffCode) RunClass(analyzed []*AnalyzedChange, class string) ClassPipelineResult {
-	return d.RunClassCtx(context.Background(), analyzed, class)
-}
-
-// RunClassCtx is RunClass with trace propagation: the extract and filter
-// stages appear as child spans carrying the class name and survivor counts.
-func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, class string) ClassPipelineResult {
+// change and records it, rather than aborting the class. Under a traced
+// ctx the extract and filter stages appear as child spans carrying the
+// class name and survivor counts.
+func (d *DiffCode) RunClass(ctx context.Context, analyzed []*AnalyzedChange, class string) ClassPipelineResult {
 	r, _, _ := d.runClass(ctx, analyzed, class)
 	return r
 }
 
-// runClass is RunClassCtx that also returns every extracted usage change
+// runClass is RunClass that also returns every extracted usage change
 // before filtering, grouped by input slot: all[ends[i-1]:ends[i]] came from
 // analyzed[i] (empty for a nil slot, a change not using the class, or one
 // whose extraction was skipped).
@@ -621,16 +594,11 @@ func (d *DiffCode) runClass(ctx context.Context, analyzed []*AnalyzedChange, cla
 // scans run row-chunked on the pipeline's worker pool, and the distance
 // kernels run through the memoized engine unless Options.DisableDistCache
 // is set; the dendrogram is identical at any worker count and with the
-// cache on or off.
-func (d *DiffCode) ClusterChanges(changes []change.UsageChange) *cluster.Node {
-	return d.ClusterChangesCtx(context.Background(), changes)
-}
-
-// ClusterChangesCtx is ClusterChanges with trace propagation: the whole
-// agglomeration runs under a "cluster" child span carrying the input size
-// (the distance-matrix fan-out below it is deliberately not per-task traced
-// — an O(n²) stage would dominate the span tree without adding attribution).
-func (d *DiffCode) ClusterChangesCtx(ctx context.Context, changes []change.UsageChange) *cluster.Node {
+// cache on or off. Under a traced ctx the whole agglomeration runs under a
+// "cluster" child span carrying the input size (the distance-matrix
+// fan-out below it is deliberately not per-task traced — an O(n²) stage
+// would dominate the span tree without adding attribution).
+func (d *DiffCode) ClusterChanges(ctx context.Context, changes []change.UsageChange) *cluster.Node {
 	sp := d.opts.Metrics.StartSpan("cluster")
 	_, csp := trace.Start(ctx, "cluster")
 	csp.SetAttr("changes", fmt.Sprint(len(changes)))
@@ -668,75 +636,6 @@ func NewChecker(ruleSet []*rules.Rule, opts Options) *CryptoChecker {
 	}
 }
 
-// CheckSources analyzes the given files as one program and reports all rule
-// violations. The per-file parse and the per-rule evaluation fan out on the
-// checker's worker pool (the abstract interpretation between them analyzes
-// the whole program and stays single-goroutine); violations come back in
-// the stable rule-set order regardless of worker count.
-func (c *CryptoChecker) CheckSources(sources map[string]string, ctx rules.Context) []rules.Violation {
-	return c.CheckSourcesCtx(context.Background(), sources, ctx)
-}
-
-// CheckSourcesCtx is CheckSources with trace propagation: under a traced
-// tctx the program runs as a "check" child span with parse, interpret, and
-// rules stages below it. On an untraced tctx this is exactly CheckSources.
-func (c *CryptoChecker) CheckSourcesCtx(tctx context.Context, sources map[string]string, ctx rules.Context) []rules.Violation {
-	reg := c.opts.Metrics
-	pool := c.opts.pool()
-	sp := reg.StartSpan("check")
-	cctx, csp := trace.Start(tctx, "check")
-	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
-	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, c.opts.Analysis)
-	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
-	csp.End()
-	sp.End()
-	reg.Counter("checker.programs").Inc()
-	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
-	reg.Counter("checker.violations").Add(int64(len(violations)))
-	return violations
-}
-
-// CheckSourcesWhy is CheckSources with witness reconstruction: the analysis
-// runs with provenance tracking enabled, the violations come back sorted by
-// source location (file, line, rule ID — the -why report order), and every
-// violation carries its witness traces. Provenance is observation-only, so
-// the violation *set* is exactly CheckSources'; only the order of the
-// returned slice and the extra traces differ.
-func (c *CryptoChecker) CheckSourcesWhy(sources map[string]string, ctx rules.Context) ([]rules.Violation, []witness.Trace) {
-	return c.CheckSourcesWhyCtx(context.Background(), sources, ctx)
-}
-
-// CheckSourcesWhyCtx is CheckSourcesWhy with the same trace propagation as
-// CheckSourcesCtx, plus a "witness" stage span for the reconstruction.
-func (c *CryptoChecker) CheckSourcesWhyCtx(tctx context.Context, sources map[string]string, ctx rules.Context) ([]rules.Violation, []witness.Trace) {
-	reg := c.opts.Metrics
-	pool := c.opts.pool()
-	sp := reg.StartSpan("check")
-	cctx, csp := trace.Start(tctx, "check")
-	aopts := c.opts.Analysis
-	aopts.Provenance = true
-	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
-	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, aopts)
-	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
-	csp.End()
-	sp.End()
-	reg.Counter("checker.programs").Inc()
-	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
-	reg.Counter("checker.violations").Add(int64(len(violations)))
-	sorted := report.SortViolations(violations, res)
-	_, wsp := trace.Start(tctx, "witness")
-	traces := witness.Collect(sorted, res, ctx)
-	wsp.SetAttr("traces", fmt.Sprint(len(traces)))
-	wsp.End()
-	witness.Observe(reg, traces)
-	return sorted, traces
-}
-
-// CheckProject checks a corpus project snapshot.
-func (c *CryptoChecker) CheckProject(p *corpus.Project) []rules.Violation {
-	return c.CheckSources(p.Files, ContextOf(p))
-}
-
 // CheckOutcome is the result of one request-scoped check.
 type CheckOutcome struct {
 	Violations []rules.Violation
@@ -747,13 +646,18 @@ type CheckOutcome struct {
 	Result *analysis.Result
 }
 
-// CheckRequest is the request-scoped entry point behind the analysis
-// server's /v1/check: one guarded, budgeted, cancelable check of a source
-// bundle. The whole parse+analyze+check runs under resilience.Guard, so a
-// panic on a pathological snippet comes back as a categorizable error
-// instead of killing the serving process, and the per-request budget is
-// tightened by ctx's deadline and trips early if ctx is canceled (a
-// disconnected client stops paying for analysis nobody will read).
+// CheckRequest is the checker's one entry point, behind the analysis
+// server's /v1/check, diffcode's -why and the facade: one guarded,
+// budgeted, cancelable check of a source bundle, analyzed as one program.
+// The per-file parse and the per-rule evaluation fan out on the checker's
+// worker pool; violations come back in the stable rule-set order at any
+// worker count or, with why, sorted by source location (file, line, rule
+// ID) with their witness traces. The whole parse+analyze+check runs under
+// resilience.Guard, so a panic on a pathological snippet comes back as a
+// categorizable error instead of killing the serving process, and the
+// per-request budget is tightened by ctx's deadline and trips early if ctx
+// is canceled (a disconnected client stops paying for analysis nobody will
+// read).
 func (c *CryptoChecker) CheckRequest(ctx context.Context, sources map[string]string, rctx rules.Context, why bool) (*CheckOutcome, error) {
 	out, err := c.checkOutcome(ctx, sources, rctx, why)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ func pipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 	t.Helper()
 	var sb strings.Builder
 	d := New(opts)
-	analyzed := d.MineCorpus(c)
+	analyzed := d.MineCorpus(context.Background(), c)
 	fmt.Fprintf(&sb, "analyzed=%d\n", len(analyzed))
 	for i, a := range analyzed {
 		if a == nil {
@@ -41,13 +42,13 @@ func pipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 			sortedKeys(a.UsesOld), sortedKeys(a.UsesNew))
 	}
 	for _, class := range cryptoapi.TargetClasses {
-		r := d.RunClass(analyzed, class)
+		r := d.RunClass(context.Background(), analyzed, class)
 		fmt.Fprintf(&sb, "%s stats=%+v\n", class, r.Stats)
 		for _, uc := range r.Survivors {
 			fmt.Fprintf(&sb, "  survivor [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.String())
 		}
 		if len(r.Survivors) > 1 {
-			root := d.ClusterChanges(r.Survivors)
+			root := d.ClusterChanges(context.Background(), r.Survivors)
 			sb.WriteString(cluster.Render(root, func(i int) string {
 				return r.Survivors[i].Meta.Commit
 			}))
@@ -139,86 +140,14 @@ func TestDeterminismArtifactCacheOnOff(t *testing.T) {
 	}
 }
 
-// shardFingerprint runs the sharded map-reduce pipeline (MineCorpusShards +
-// per-shard RunClass + MergeClassResults) and serializes the same observable
-// surface as pipelineFingerprint.
-func shardFingerprint(t *testing.T, c *corpus.Corpus, opts Options, shards int) string {
-	t.Helper()
-	var sb strings.Builder
-	d := New(opts)
-	parts := d.MineCorpusShards(c, shards)
-	var analyzed []*AnalyzedChange
-	for _, sh := range parts {
-		analyzed = append(analyzed, sh...)
-	}
-	fmt.Fprintf(&sb, "analyzed=%d\n", len(analyzed))
-	for i, a := range analyzed {
-		fmt.Fprintf(&sb, "[%d] %s@%s:%s kind=%v old=%s new=%s\n",
-			i, a.Meta.Project, a.Meta.Commit, a.Meta.File, a.Kind,
-			sortedKeys(a.UsesOld), sortedKeys(a.UsesNew))
-	}
-	for _, class := range cryptoapi.TargetClasses {
-		results := make([]ClassPipelineResult, len(parts))
-		for i, sh := range parts {
-			results[i] = d.RunClass(sh, class)
-		}
-		r := MergeClassResults(class, results...)
-		fmt.Fprintf(&sb, "%s stats=%+v\n", class, r.Stats)
-		for _, uc := range r.Survivors {
-			fmt.Fprintf(&sb, "  survivor [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.String())
-		}
-		if len(r.Survivors) > 1 {
-			root := d.ClusterChanges(r.Survivors)
-			sb.WriteString(cluster.Render(root, func(i int) string {
-				return r.Survivors[i].Meta.Commit
-			}))
-		}
-	}
-	fmt.Fprintf(&sb, "ledger=%d\n", d.Ledger().Len())
-	return sb.String()
-}
-
-// TestDeterminismShardEquivalence asserts the -shards map-reduce path is
-// observationally identical to the monolithic pipeline: the flattened mined
-// changes, the merged per-class stats, the survivor lists, and the
-// dendrograms all match byte-for-byte at 1, 2, and 4 shards, and the shard
-// count composes with the worker count.
-func TestDeterminismShardEquivalence(t *testing.T) {
-	// Seed 3 at scale 0.5: multi-survivor classes, so the merge has real
-	// dedup work and real dendrograms on both sides (see
-	// TestDeterminismDistCacheOnOff).
-	c := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.5, Projects: 60, ExtraProjects: 3})
-	want := pipelineFingerprint(t, c, Options{Workers: 1})
-	if !strings.Contains(want, "survivor") {
-		t.Fatalf("corpus produced no survivors; fingerprint exercises too little")
-	}
-	for _, k := range []int{1, 2, 4} {
-		for _, w := range []int{1, 4} {
-			if got := shardFingerprint(t, c, Options{Workers: w}, k); got != want {
-				t.Errorf("shards=%d workers=%d: sharded fingerprint differs from monolithic\ngot:\n%.800s\nwant:\n%.800s", k, w, got, want)
-			}
-		}
-	}
-	// Shards sharing one artifact directory — the map-reduce deployment
-	// shape: each shard warms the store the next run reuses.
-	dir := t.TempDir()
-	for _, k := range []int{2, 4} {
-		got := shardFingerprint(t, c, Options{Workers: 2,
-			Artifacts: artifact.New(artifact.Config{Dir: dir})}, k)
-		if got != want {
-			t.Errorf("shards=%d (shared artifact dir): fingerprint differs from monolithic", k)
-		}
-	}
-}
-
-// checkerFingerprint runs CheckProject over every project under the given
-// options and serializes the violations in report order.
-func checkerFingerprint(c *corpus.Corpus, opts Options) string {
+// checkerFingerprint checks every project snapshot under the given options
+// and serializes the violations in report order.
+func checkerFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 	var sb strings.Builder
 	checker := NewChecker(nil, opts)
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
-		for _, v := range checker.CheckProject(p) {
+		for _, v := range mustCheck(t, checker, p.Files, ContextOf(p), false).Violations {
 			fmt.Fprintf(&sb, "  %s", v.Rule.ID)
 			for _, o := range v.Objs {
 				fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
@@ -233,12 +162,12 @@ func checkerFingerprint(c *corpus.Corpus, opts Options) string {
 // order and witness order — is identical at workers 1, 2, and 8.
 func TestDeterminismCheckSources(t *testing.T) {
 	c := determinismCorpus()
-	want := checkerFingerprint(c, Options{Workers: 1})
+	want := checkerFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "R") {
 		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{2, 8} {
-		if got := checkerFingerprint(c, Options{Workers: w}); got != want {
+		if got := checkerFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: checker fingerprint differs from workers=1", w)
 		}
 	}
@@ -251,34 +180,34 @@ func TestDeterminismCheckSources(t *testing.T) {
 // back into the lattice, the joins, or the rule predicates.
 func TestDeterminismProvenanceObservationOnly(t *testing.T) {
 	c := determinismCorpus()
-	want := checkerFingerprint(c, Options{Workers: 1})
+	want := checkerFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "R") {
 		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		got := checkerFingerprint(c, Options{Workers: w, Analysis: analysis.Options{Provenance: true}})
+		got := checkerFingerprint(t, c, Options{Workers: w, Analysis: analysis.Options{Provenance: true}})
 		if got != want {
 			t.Errorf("workers=%d: provenance-on checker fingerprint differs from provenance-off\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
 	}
 }
 
-// whyFingerprint runs CheckSourcesWhy over every project and serializes the
-// sorted violations plus every rendered witness trace.
-func whyFingerprint(c *corpus.Corpus, opts Options) string {
+// whyFingerprint checks every project with witness traces and serializes
+// the sorted violations plus every rendered witness trace.
+func whyFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 	var sb strings.Builder
 	checker := NewChecker(nil, opts)
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
-		vs, traces := checker.CheckSourcesWhy(p.Files, ContextOf(p))
-		for _, v := range vs {
+		out := mustCheck(t, checker, p.Files, ContextOf(p), true)
+		for _, v := range out.Violations {
 			fmt.Fprintf(&sb, "  %s", v.Rule.ID)
 			for _, o := range v.Objs {
 				fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
 			}
 			sb.WriteString("\n")
 		}
-		sb.WriteString(witness.Render(traces))
+		sb.WriteString(witness.Render(out.Traces))
 	}
 	return sb.String()
 }
@@ -288,15 +217,15 @@ func whyFingerprint(c *corpus.Corpus, opts Options) string {
 // byte-identical at workers 1, 2, and 8, with the distance cache on and off.
 func TestDeterminismWitnessTraces(t *testing.T) {
 	c := determinismCorpus()
-	want := whyFingerprint(c, Options{Workers: 1})
+	want := whyFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "sink:") {
 		t.Fatalf("no witness traces produced; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if got := whyFingerprint(c, Options{Workers: w}); got != want {
+		if got := whyFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: -why fingerprint differs from workers=1", w)
 		}
-		if got := whyFingerprint(c, Options{Workers: w, DisableDistCache: true}); got != want {
+		if got := whyFingerprint(t, c, Options{Workers: w, DisableDistCache: true}); got != want {
 			t.Errorf("workers=%d (cache off): -why fingerprint differs from workers=1", w)
 		}
 	}

@@ -60,7 +60,7 @@ func (e *Evaluation) elicitClass(class string) []ElicitedRule {
 		clusters = [][]int{{0}}
 	} else {
 		d := cluster.DistMatrixEngine(survivors, nil, nil, e.DiffCode.engine)
-		root := cluster.AgglomerateMatrix(d, cluster.Complete)
+		root := cluster.AgglomerateMatrix(d, cluster.Complete, nil, nil)
 		clusters, _ = cluster.CutAuto(root, d)
 	}
 

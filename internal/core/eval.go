@@ -55,15 +55,9 @@ func (r *classRun) of(i int) []change.UsageChange {
 	return r.all[start:r.ends[i]]
 }
 
-// NewEvaluation mines and analyzes the corpus once.
-func NewEvaluation(c *corpus.Corpus, opts Options) *Evaluation {
-	return NewEvaluationCtx(context.Background(), c, opts)
-}
-
-// NewEvaluationCtx is NewEvaluation with trace propagation: under a traced
-// ctx the mining run attaches its span tree (mine → analyze → per-change
-// spans) to the current span. On an untraced ctx this is exactly
-// NewEvaluation.
+// NewEvaluationCtx mines and analyzes the corpus once. Under a traced ctx
+// the mining run attaches its span tree (mine → analyze → per-change
+// spans) to the current span.
 func NewEvaluationCtx(ctx context.Context, c *corpus.Corpus, opts Options) *Evaluation {
 	// The evaluation harness re-classifies changes against both raw analysis
 	// results (Figure 7 needs Old/New), which warm artifact hits do not
@@ -73,7 +67,7 @@ func NewEvaluationCtx(ctx context.Context, c *corpus.Corpus, opts Options) *Eval
 	return &Evaluation{
 		DiffCode: d,
 		Corpus:   c,
-		Analyzed: d.MineCorpusCtx(ctx, c),
+		Analyzed: d.MineCorpus(ctx, c),
 	}
 }
 
@@ -236,7 +230,7 @@ type Figure8Result struct {
 // ECB→CBC/GCM cluster of the paper's Figure 8.
 func (e *Evaluation) Figure8() *Figure8Result {
 	r := e.classResult(cryptoapi.Cipher)
-	root := e.DiffCode.ClusterChanges(r.Survivors)
+	root := e.DiffCode.ClusterChanges(context.Background(), r.Survivors)
 	res := &Figure8Result{Survivors: r.Survivors, Dendrogram: root}
 	if root == nil {
 		return res
@@ -348,73 +342,98 @@ func (e *Evaluation) Figure10() *Figure10Result {
 }
 
 // CheckCorpus evaluates the 13 rules over all project snapshots of a
-// corpus (training + held-out) on the worker pool (one project per task,
-// ordered fan-in). Forks are excluded, as in the paper's project selection
-// (§6.1: "excluding forks"). Each project is checked under its own guard:
-// a panic skips that project, which is recorded in opts.Ledger (in project
-// order, at any worker count) and left out of the result.
+// corpus (training + held-out) with checkProjects: forks are excluded, as
+// in the paper's project selection (§6.1: "excluding forks"), and a
+// project whose check fails is skipped, recorded in opts.Ledger and left
+// out of the result.
 func CheckCorpus(c *corpus.Corpus, opts Options) *Figure10Result {
-	opts = opts.withDefaults()
 	all := rules.All()
-	var projects []*corpus.Project
-	for _, p := range c.Projects {
-		if p.ForkOf == "" {
-			projects = append(projects, p)
-		}
-	}
-	type projOutcome struct {
-		applicable map[string]bool
-		matching   map[string]bool
-		task       string
-		err        error
-	}
-	outcomes := parallel.Map(opts.pool(), context.Background(), len(projects), func(i int) projOutcome {
-		p := projects[i]
-		o := projOutcome{applicable: map[string]bool{}, matching: map[string]bool{}, task: "check " + p.Name}
-		o.err = resilience.Guard(o.task, func() error {
-			res := analysis.Analyze(analysis.ParseProgram(p.Files), opts.Analysis)
-			ctx := ContextOf(p)
-			for _, r := range all {
-				if r.Applicable(res, ctx) {
-					o.applicable[r.ID] = true
-				}
-				if ok, _ := r.Matches(res, ctx); ok {
-					o.matching[r.ID] = true
-				}
-			}
-			return nil
-		})
-		return o
+	checked := checkProjects(c.Projects, opts, "check", func(p *corpus.Project) []map[string]string {
+		return []map[string]string{p.Files}
 	})
-	var checked []projOutcome
-	for i, o := range outcomes {
-		if o.err != nil {
-			e := resilience.NewEntry(o.task, resilience.PhaseAnalyze, o.err)
-			e.Meta = map[string]string{"project": projects[i].Name}
-			opts.Ledger.Record(e)
-			continue
-		}
-		checked = append(checked, o)
-	}
 	res := &Figure10Result{Projects: len(checked)}
 	for _, r := range all {
 		row := Figure10Row{Rule: r.ID}
-		for _, o := range checked {
-			if o.applicable[r.ID] {
+		for _, hits := range checked {
+			if hits[0].applicable[r.ID] {
 				row.Applicable++
 			}
-			if o.matching[r.ID] {
+			if hits[0].matching[r.ID] {
 				row.Matching++
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, o := range checked {
-		if len(o.matching) > 0 {
+	for _, hits := range checked {
+		if len(hits[0].matching) > 0 {
 			res.ViolatedAtLeastOne++
 		}
 	}
 	return res
+}
+
+// ruleHits records which of the 13 rules one program is applicable to and
+// which it matches.
+type ruleHits struct {
+	applicable, matching map[string]bool
+}
+
+// checkProjects checks the versions snapshots returns of every non-fork
+// project against the 13 rules, on the worker pool (one project per task,
+// ordered fan-in). Each project runs under its own guard, task "<verb>
+// <project>": a panic skips the project, which is recorded in opts.Ledger
+// (phase analyze, in project order at any worker count) and left out of
+// the result. The rest come back in project order, one ruleHits per
+// snapshot. Programs are parsed and interpreted live — no artifact store
+// and no budget: a whole project is not the unit the per-change budget
+// is sized for.
+func checkProjects(projects []*corpus.Project, opts Options, verb string, snapshots func(*corpus.Project) []map[string]string) [][]ruleHits {
+	opts = opts.withDefaults()
+	all := rules.All()
+	var kept []*corpus.Project
+	for _, p := range projects {
+		if p.ForkOf == "" {
+			kept = append(kept, p)
+		}
+	}
+	type outcome struct {
+		hits []ruleHits
+		task string
+		err  error
+	}
+	outcomes := parallel.Map(opts.pool(), context.Background(), len(kept), func(i int) outcome {
+		p := kept[i]
+		o := outcome{task: verb + " " + p.Name}
+		o.err = resilience.Guard(o.task, func() error {
+			rctx := ContextOf(p)
+			for _, files := range snapshots(p) {
+				res := analysis.Analyze(analysis.ParseProgram(files), opts.Analysis)
+				h := ruleHits{applicable: map[string]bool{}, matching: map[string]bool{}}
+				for _, r := range all {
+					if r.Applicable(res, rctx) {
+						h.applicable[r.ID] = true
+					}
+					if ok, _ := r.Matches(res, rctx); ok {
+						h.matching[r.ID] = true
+					}
+				}
+				o.hits = append(o.hits, h)
+			}
+			return nil
+		})
+		return o
+	})
+	var out [][]ruleHits
+	for i, o := range outcomes {
+		if o.err != nil {
+			e := resilience.NewEntry(o.task, resilience.PhaseAnalyze, o.err)
+			e.Meta = map[string]string{"project": kept[i].Name}
+			opts.Ledger.Record(e)
+			continue
+		}
+		out = append(out, o.hits)
+	}
+	return out
 }
 
 // Table renders the Figure 10 result.
@@ -491,15 +510,33 @@ func (e *Evaluation) SortedSurvivors(class string) []change.UsageChange {
 }
 
 // AnalyzeSource runs the analyzer over one source under the pipeline's
-// options: analyzer limits, Metrics and the summary table all apply.
-func AnalyzeSource(src string, opts Options) *analysis.Result {
-	return analysis.AnalyzeSource(src, opts.withDefaults().Analysis)
+// options — analyzer limits, Metrics and the summary table — inside the
+// guard, on a budget of Options.BudgetSteps/BudgetWall tightened by ctx's
+// deadline and cancellation. A panic or an exhausted budget comes back as
+// an error.
+func AnalyzeSource(ctx context.Context, src string, opts Options) (*analysis.Result, error) {
+	opts = opts.withDefaults()
+	var res *analysis.Result
+	err := resilience.Guard("analyze source", func() error {
+		aopts := opts.Analysis
+		aopts.Budget = resilience.NewBudgetContext(ctx, opts.BudgetSteps, opts.BudgetWall)
+		prog := analysis.ParseProgramStoreCtx(ctx, map[string]string{"Main.java": src}, nil, nil, nil)
+		var err error
+		res, err = analysis.AnalyzeBudgetedCtx(ctx, prog, aopts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// BuildDAGs exposes usage-DAG construction at the facade level (used by
-// the quickstart example).
-func BuildDAGs(src string, class string, opts Options) []*usage.Graph {
-	opts = opts.withDefaults()
-	res := analysis.AnalyzeSource(src, opts.Analysis)
-	return usage.BuildAll(res, class, opts.Depth)
+// BuildDAGs analyzes one source as AnalyzeSource does and builds the usage
+// DAGs of the given class, one per allocation site.
+func BuildDAGs(ctx context.Context, src string, class string, opts Options) ([]*usage.Graph, error) {
+	res, err := AnalyzeSource(ctx, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	return usage.BuildAll(res, class, opts.withDefaults().Depth), nil
 }

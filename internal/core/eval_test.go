@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func sharedEval(t *testing.T) *Evaluation {
 	t.Helper()
 	evalOnce.Do(func() {
 		c := corpus.Generate(corpus.Config{Seed: 1, Scale: 0.5, Projects: 230, ExtraProjects: 29})
-		evalInst = NewEvaluation(c, Options{})
+		evalInst = NewEvaluationCtx(context.Background(), c, Options{})
 	})
 	return evalInst
 }
@@ -272,7 +273,7 @@ func TestCheckerOnProjects(t *testing.T) {
 	checker := NewChecker(nil, Options{})
 	found := 0
 	for _, p := range e.Corpus.Projects[:30] {
-		vs := checker.CheckProject(p)
+		vs := mustCheck(t, checker, p.Files, ContextOf(p), false).Violations
 		found += len(vs)
 		for _, v := range vs {
 			if v.Rule == nil || len(v.Objs) == 0 {
@@ -302,8 +303,8 @@ func TestFigure9Static(t *testing.T) {
 // Figure 6 table.
 func TestDeterministicEvaluation(t *testing.T) {
 	cfg := corpus.Config{Seed: 42, Scale: 0.05, Projects: 25, ExtraProjects: 0}
-	t1 := NewEvaluation(corpus.Generate(cfg), Options{}).Figure6().String()
-	t2 := NewEvaluation(corpus.Generate(cfg), Options{}).Figure6().String()
+	t1 := NewEvaluationCtx(context.Background(), corpus.Generate(cfg), Options{}).Figure6().String()
+	t2 := NewEvaluationCtx(context.Background(), corpus.Generate(cfg), Options{}).Figure6().String()
 	if t1 != t2 {
 		t.Errorf("evaluation not deterministic:\n%s\nvs\n%s", t1, t2)
 	}

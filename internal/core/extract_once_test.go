@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -49,7 +50,7 @@ func evalFingerprint(e *Evaluation) string {
 // per target class it uses.
 func TestEvaluationExtractsOnce(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := NewEvaluation(figuresCorpus(), Options{Metrics: reg})
+	e := NewEvaluationCtx(context.Background(), figuresCorpus(), Options{Metrics: reg})
 	want := 0
 	for _, a := range e.Analyzed {
 		for _, class := range cryptoapi.TargetClasses {
@@ -78,7 +79,7 @@ func TestEvaluationSkipsFailedExtraction(t *testing.T) {
 	}
 	const victim = 2
 	d := New(Options{})
-	analyzed := d.AnalyzeAll(ccs)
+	analyzed := d.AnalyzeAll(context.Background(), ccs)
 	ref := New(Options{})
 	rest := append(append([]*AnalyzedChange{}, analyzed[:victim]...), analyzed[victim+1:]...)
 	want := &Evaluation{DiffCode: ref, Analyzed: rest}
@@ -138,11 +139,11 @@ func TestEvaluationSkipsFailedExtraction(t *testing.T) {
 // result. Run under -race it also checks the memoized state.
 func TestEvaluationConcurrentFigures(t *testing.T) {
 	c := figuresCorpus()
-	want := evalFingerprint(NewEvaluation(c, Options{}))
+	want := evalFingerprint(NewEvaluationCtx(context.Background(), c, Options{}))
 	if !strings.Contains(want, "h=") || !strings.Contains(want, "support=") {
 		t.Fatalf("corpus gives no dendrogram or elicited rule; the test exercises too little:\n%.800s", want)
 	}
-	e := NewEvaluation(c, Options{})
+	e := NewEvaluationCtx(context.Background(), c, Options{})
 	const callers = 4
 	got := make([]string, callers)
 	var wg sync.WaitGroup

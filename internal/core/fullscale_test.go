@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -18,7 +19,7 @@ func TestPaperScale(t *testing.T) {
 	if got := len(c.TrainingProjects()); got < 461 {
 		t.Fatalf("training projects = %d, want >= 461", got)
 	}
-	e := NewEvaluation(c, Options{})
+	e := NewEvaluationCtx(context.Background(), c, Options{})
 	if len(e.Analyzed) < 10_000 {
 		t.Fatalf("analyzed changes = %d, want >= 10k at paper scale", len(e.Analyzed))
 	}

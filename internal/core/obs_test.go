@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -55,13 +56,13 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 	clock := &tickClock{}
 	reg := obs.NewRegistryClock(clock.now)
 	d := New(Options{Workers: 1, Metrics: reg})
-	analyzed := d.AnalyzeAll(twoChanges())
+	analyzed := d.AnalyzeAll(context.Background(), twoChanges())
 	for i, a := range analyzed {
 		if a == nil {
 			t.Fatalf("change %d skipped unexpectedly", i)
 		}
 	}
-	r := d.RunClass(analyzed, "Cipher")
+	r := d.RunClass(context.Background(), analyzed, "Cipher")
 	if len(r.Survivors) == 0 {
 		t.Fatal("expected semantic Cipher survivors")
 	}
@@ -109,7 +110,7 @@ func TestSnapshotCarriesStageAndFailureMetrics(t *testing.T) {
 	d := New(Options{Workers: 2, Metrics: reg, BudgetSteps: 10})
 	// Budget of 10 steps guarantees both changes exhaust and land in the
 	// ledger rather than the result.
-	analyzed := d.AnalyzeAll(twoChanges())
+	analyzed := d.AnalyzeAll(context.Background(), twoChanges())
 	for i, a := range analyzed {
 		if a != nil {
 			t.Fatalf("change %d survived a 10-step budget", i)
@@ -139,10 +140,10 @@ func TestSnapshotCarriesStageAndFailureMetrics(t *testing.T) {
 func TestUninstrumentedPipelineUnchanged(t *testing.T) {
 	plain := New(Options{Workers: 1})
 	instr := New(Options{Workers: 1, Metrics: obs.NewRegistry()})
-	a1 := plain.AnalyzeAll(twoChanges())
-	a2 := instr.AnalyzeAll(twoChanges())
-	r1 := plain.RunClass(a1, "Cipher")
-	r2 := instr.RunClass(a2, "Cipher")
+	a1 := plain.AnalyzeAll(context.Background(), twoChanges())
+	a2 := instr.AnalyzeAll(context.Background(), twoChanges())
+	r1 := plain.RunClass(context.Background(), a1, "Cipher")
+	r2 := instr.RunClass(context.Background(), a2, "Cipher")
 	if r1.Stats != r2.Stats || len(r1.Survivors) != len(r2.Survivors) {
 		t.Fatalf("instrumentation changed results: %+v vs %+v", r1.Stats, r2.Stats)
 	}

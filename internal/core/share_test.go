@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -35,7 +36,8 @@ func renderAnalysis(r *analysis.Result) string {
 func stepsOf(t *testing.T, src string) int64 {
 	t.Helper()
 	b := resilience.NewBudget(1<<40, 0)
-	if _, err := analysis.AnalyzeSourceBudgeted(src, analysis.Options{Budget: b}); err != nil {
+	prog := analysis.ParseProgram(map[string]string{"Main.java": src})
+	if _, err := analysis.AnalyzeBudgetedCtx(context.Background(), prog, analysis.Options{Budget: b}); err != nil {
 		t.Fatalf("measuring steps: %v", err)
 	}
 	return b.Used()
@@ -72,11 +74,11 @@ func TestSourceShareExactness(t *testing.T) {
 			t.Run(fmt.Sprintf("budget%d_workers%d", budget, w), func(t *testing.T) {
 				reg := obs.NewRegistry()
 				d := New(Options{Workers: w, BudgetSteps: budget, Metrics: reg})
-				out := d.AnalyzeAll(ccs)
+				out := d.AnalyzeAll(context.Background(), ccs)
 				alone := New(Options{Workers: 1, BudgetSteps: budget})
 				skipped := 0
 				for i, cc := range ccs {
-					if _, err := alone.AnalyzeChange(cc); (out[i] == nil) != (err != nil) {
+					if _, err := alone.AnalyzeChange(context.Background(), cc); (out[i] == nil) != (err != nil) {
 						t.Fatalf("change %d (%s): batch analyzed=%t, alone err=%v", i, taskName(cc), out[i] != nil, err)
 					}
 					if out[i] == nil {
@@ -125,7 +127,7 @@ func TestSourceShareBudget(t *testing.T) {
 	owner := mining.CodeChange{Meta: change.Meta{Project: "p", Commit: "c1", File: "A.java"}, Old: x, New: y}
 	reuser := mining.CodeChange{Meta: change.Meta{Project: "p", Commit: "c2", File: "A.java"}, Old: y, New: z}
 
-	_, aloneErr := New(Options{BudgetSteps: budget}).AnalyzeChange(reuser)
+	_, aloneErr := New(Options{BudgetSteps: budget}).AnalyzeChange(context.Background(), reuser)
 	if !errors.Is(aloneErr, resilience.ErrBudgetExhausted) {
 		t.Fatalf("alone: err = %v, want budget exhaustion", aloneErr)
 	}
@@ -134,7 +136,7 @@ func TestSourceShareBudget(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		reg := obs.NewRegistry()
 		d := New(Options{BudgetSteps: budget, Workers: w, Metrics: reg})
-		out := d.AnalyzeAll([]mining.CodeChange{owner, reuser})
+		out := d.AnalyzeAll(context.Background(), []mining.CodeChange{owner, reuser})
 		if out[0] == nil || out[1] != nil {
 			t.Fatalf("workers=%d: slots = (%v, %v), want owner analyzed and reuser skipped", w, out[0] != nil, out[1] != nil)
 		}

@@ -98,7 +98,8 @@ func TestSummaryDeepChainDetection(t *testing.T) {
 	sources := map[string]string{"Deep.java": deepChainDES}
 
 	on := NewChecker([]*rules.Rule{rules.R8}, Options{})
-	vs, traces := on.CheckSourcesWhy(sources, rules.Context{})
+	out := mustCheck(t, on, sources, rules.Context{}, true)
+	vs, traces := out.Violations, out.Traces
 	if len(vs) != 1 {
 		t.Fatalf("violations = %d, want 1 (R8)", len(vs))
 	}

@@ -34,7 +34,7 @@ func tracedPipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) (ou
 	ctx := trace.NewContext(context.Background(), root)
 	var sb strings.Builder
 	d := New(opts)
-	analyzed := d.MineCorpusCtx(ctx, c)
+	analyzed := d.MineCorpus(ctx, c)
 	fmt.Fprintf(&sb, "analyzed=%d\n", len(analyzed))
 	for i, a := range analyzed {
 		if a == nil {
@@ -46,13 +46,13 @@ func tracedPipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) (ou
 			sortedKeys(a.UsesOld), sortedKeys(a.UsesNew))
 	}
 	for _, class := range cryptoapi.TargetClasses {
-		r := d.RunClassCtx(ctx, analyzed, class)
+		r := d.RunClass(ctx, analyzed, class)
 		fmt.Fprintf(&sb, "%s stats=%+v\n", class, r.Stats)
 		for _, uc := range r.Survivors {
 			fmt.Fprintf(&sb, "  survivor [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.String())
 		}
 		if len(r.Survivors) > 1 {
-			node := d.ClusterChangesCtx(ctx, r.Survivors)
+			node := d.ClusterChanges(ctx, r.Survivors)
 			sb.WriteString(cluster.Render(node, func(i int) string {
 				return r.Survivors[i].Meta.Commit
 			}))
@@ -89,7 +89,7 @@ func TestDeterminismTraceFingerprint(t *testing.T) {
 }
 
 // TestDeterminismCheckTrace pins the same two contracts for the checking
-// entry point (CheckSourcesCtx): identical violations and identical trace
+// entry point (CheckRequest): identical violations and identical trace
 // fingerprints at workers 1, 2, and 8.
 func TestDeterminismCheckTrace(t *testing.T) {
 	c := determinismCorpus()
@@ -100,7 +100,11 @@ func TestDeterminismCheckTrace(t *testing.T) {
 		checker := NewChecker(nil, Options{Workers: workers})
 		for _, p := range c.Projects {
 			fmt.Fprintf(&sb, "%s:\n", p.Name)
-			for _, v := range checker.CheckSourcesCtx(ctx, p.Files, ContextOf(p)) {
+			out, err := checker.CheckRequest(ctx, p.Files, ContextOf(p), false)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			for _, v := range out.Violations {
 				fmt.Fprintf(&sb, "  %s", v.Rule.ID)
 				for _, o := range v.Objs {
 					fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
@@ -111,7 +115,7 @@ func TestDeterminismCheckTrace(t *testing.T) {
 		root.End()
 		return sb.String(), trace.Snapshot(root).Fingerprint()
 	}
-	untraced := checkerFingerprint(c, Options{Workers: 1})
+	untraced := checkerFingerprint(t, c, Options{Workers: 1})
 	wantOut, wantFP := run(1)
 	if wantOut != untraced {
 		t.Errorf("traced checker output differs from untraced at workers=1")

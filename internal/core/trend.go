@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/corpus"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/rules"
 )
@@ -42,53 +39,29 @@ func initialSnapshot(p *corpus.Project) map[string]string {
 }
 
 // Trend evaluates the rule set at both ends of every training project's
-// history, in parallel.
+// history with checkProjects: a project whose check fails is skipped and
+// recorded in opts.Ledger (task "trend <project>").
 func Trend(c *corpus.Corpus, opts Options) *TrendResult {
-	opts = opts.withDefaults()
-	all := rules.All()
-	var projects []*corpus.Project
-	for _, p := range c.TrainingProjects() {
-		if p.ForkOf == "" {
-			projects = append(projects, p)
-		}
-	}
+	checked := checkProjects(c.TrainingProjects(), opts, "trend", func(p *corpus.Project) []map[string]string {
+		return []map[string]string{initialSnapshot(p), p.Files}
+	})
 	res := &TrendResult{
-		Projects:        len(projects),
+		Projects:        len(checked),
 		InitialMatching: map[string]int{},
 		FinalMatching:   map[string]int{},
 	}
-	type outcome struct {
-		initial, final map[string]bool
-	}
-	outcomes := parallel.Map(opts.pool(), context.Background(), len(projects), func(i int) outcome {
-		p := projects[i]
-		ctx := ContextOf(p)
-		match := func(files map[string]string) map[string]bool {
-			r := analysis.Analyze(analysis.ParseProgram(files), opts.Analysis)
-			hits := map[string]bool{}
-			for _, rule := range all {
-				if ok, _ := rule.Matches(r, ctx); ok {
-					hits[rule.ID] = true
-				}
-			}
-			return hits
-		}
-		return outcome{
-			initial: match(initialSnapshot(p)),
-			final:   match(p.Files),
-		}
-	})
-	for _, o := range outcomes {
-		for id := range o.initial {
+	for _, hits := range checked {
+		initial, final := hits[0].matching, hits[1].matching
+		for id := range initial {
 			res.InitialMatching[id]++
 		}
-		for id := range o.final {
+		for id := range final {
 			res.FinalMatching[id]++
 		}
 		switch {
-		case len(o.final) < len(o.initial):
+		case len(final) < len(initial):
 			res.Improved++
-		case len(o.final) > len(o.initial):
+		case len(final) > len(initial):
 			res.Worsened++
 		}
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/witness"
 )
@@ -47,15 +51,25 @@ func loadExample(t *testing.T, name string) map[string]string {
 	return map[string]string{name: string(b)}
 }
 
+// mustCheck runs CheckRequest on a background context and fails t on error.
+func mustCheck(t testing.TB, c *CryptoChecker, sources map[string]string, rctx rules.Context, why bool) *CheckOutcome {
+	t.Helper()
+	out, err := c.CheckRequest(context.Background(), sources, rctx, why)
+	if err != nil {
+		t.Fatalf("CheckRequest: %v", err)
+	}
+	return out
+}
+
 func whyTraces(t *testing.T, r *rules.Rule, workers int) []witness.Trace {
 	t.Helper()
 	ex := witnessExamples[r.ID]
 	checker := NewChecker([]*rules.Rule{r}, Options{Workers: workers})
-	vs, traces := checker.CheckSourcesWhy(loadExample(t, ex.file), ex.ctx)
-	if len(vs) == 0 {
+	out := mustCheck(t, checker, loadExample(t, ex.file), ex.ctx, true)
+	if len(out.Violations) == 0 {
 		t.Fatalf("%s: example %s does not violate the rule", r.ID, ex.file)
 	}
-	return traces
+	return out.Traces
 }
 
 // TestWitnessGoldenAllRules pins the rendered witness trace of one
@@ -133,5 +147,58 @@ func TestWitnessJSONStable(t *testing.T) {
 	}
 	if got := witness.JSON(whyTraces(t, rules.R10, 8)); got != want {
 		t.Errorf("workers=8 JSON differs from workers=1")
+	}
+}
+
+// TestWitnessWarmArtifactHits asserts a check outcome resolved from the
+// artifact store renders the same violations, witness text and witness
+// JSON as the live run, for every witness-golden example: once from the
+// store's memory tier and once, through a fresh store over the same
+// directory, from disk. This is the path a repeated why request and
+// `diffcode -why -cache-dir` take.
+func TestWitnessWarmArtifactHits(t *testing.T) {
+	render := func(out *CheckOutcome) string {
+		var sb strings.Builder
+		for _, v := range out.Violations {
+			sb.WriteString(v.Rule.ID)
+			for _, o := range v.Objs {
+				fmt.Fprintf(&sb, " %s@%d:%d", o.SiteLabel(), o.Site.Line, o.Site.Col)
+			}
+			sb.WriteString("\n")
+		}
+		return sb.String() + witness.Render(out.Traces) + witness.JSON(out.Traces)
+	}
+	for _, r := range append(rules.All(), rules.CryptoLint()...) {
+		r := r
+		t.Run(r.ID, func(t *testing.T) {
+			ex := witnessExamples[r.ID]
+			src := loadExample(t, ex.file)
+			ruleSet := []*rules.Rule{r}
+			want := render(mustCheck(t, NewChecker(ruleSet, Options{Workers: 1}), src, ex.ctx, true))
+			if !strings.Contains(want, "sink") {
+				t.Fatalf("live run rendered no sink step:\n%s", want)
+			}
+			dir := t.TempDir()
+			for _, tier := range []string{"memory", "disk"} {
+				reg := obs.NewRegistry()
+				checker := NewChecker(ruleSet, Options{Workers: 1, Metrics: reg,
+					Artifacts: artifact.New(artifact.Config{Dir: dir, Metrics: reg})})
+				if tier == "memory" {
+					// The cold run fills both tiers; the warm run below hits
+					// the memory tier of the same store.
+					if got := render(mustCheck(t, checker, src, ex.ctx, true)); got != want {
+						t.Fatalf("cold store run differs from live:\n--- got ---\n%s--- want ---\n%s", got, want)
+					}
+				}
+				hits := reg.Counter("artifact.check.hits").Value()
+				got := render(mustCheck(t, checker, src, ex.ctx, true))
+				if n := reg.Counter("artifact.check.hits").Value() - hits; n != 1 {
+					t.Fatalf("%s: warm run booked %d check hits, want 1", tier, n)
+				}
+				if got != want {
+					t.Errorf("%s hit differs from live:\n--- got ---\n%s--- want ---\n%s", tier, got, want)
+				}
+			}
+		})
 	}
 }

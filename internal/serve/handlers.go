@@ -429,7 +429,7 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 		// slot in the tree, not the whole request; the serial loop makes the
 		// creation-order ordinals deterministic.
 		cctx, csp := trace.Start(ctx, fmt.Sprintf("change[%d]", i))
-		a, err := d.AnalyzeChangeCtx(cctx, mining.CodeChange{
+		a, err := d.AnalyzeChange(cctx, mining.CodeChange{
 			Old: spec.Old, New: spec.New,
 			Meta: change.Meta{Project: spec.Project, Commit: spec.Commit, File: spec.File, Message: spec.Message},
 		})

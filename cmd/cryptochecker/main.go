@@ -8,7 +8,9 @@
 //
 //	cryptochecker -android -minsdk 17 src/
 //
-// Exit status is 1 when at least one rule matches, 0 otherwise.
+// Exit status is 1 when at least one rule matches or the check fails (a
+// panic, or an analysis that exhausts -budget), 0 otherwise. The check runs
+// through the same guarded, budgeted entry point as diffcoded's /v1/check.
 //
 // Rule packs load through the uniform -rules flag (repeatable); packs are
 // compiled and linted before anything runs, and error-level findings abort
@@ -22,24 +24,20 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/androidctx"
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/report"
 	"repro/internal/resilience"
 	"repro/internal/ruledsl"
 	"repro/internal/rulelint"
 	"repro/internal/rules"
-	"repro/internal/summary"
 	"repro/internal/witness"
 )
 
@@ -173,49 +171,33 @@ func main() {
 				ctx.MinSDKVersion, ctx.HasLPRNG)
 		}
 	}
-	// The analysis runs under panic isolation and an optional step budget:
-	// a pathological input degrades to a partial (or failed) check instead
-	// of a crash.
-	var res *analysis.Result
-	pool := parallel.New(workers, run.Reg)
-	sp := run.Reg.StartSpan("check")
-	err = resilience.Guard("analyze", func() error {
-		var aerr error
-		// Method summaries share the tool's artifact store, so a warm
-		// -cache-dir re-check replays helpers instead of re-interpreting.
-		aopts := analysis.Options{Budget: resilience.NewBudget(*budget, 0), Metrics: run.Reg,
-			Provenance: why.On(), Summaries: summary.NewTable(store, run.Reg)}
-		res, aerr = analysis.AnalyzeBudgetedCtx(tctx, analysis.ParseProgramStoreCtx(tctx, sources, run.Reg, pool, store),
-			aopts)
-		return aerr
-	})
-	if err != nil {
-		if errors.Is(err, resilience.ErrBudgetExhausted) && res != nil {
-			fmt.Fprintln(os.Stderr, "cryptochecker: analysis budget exhausted; results may be partial")
-		} else {
-			ledger.Record(resilience.NewEntry("analyze", resilience.PhaseAnalyze, err))
-			fmt.Fprint(os.Stderr, ledger.Report())
-			fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
-			run.Flush(ledger, true)
-			os.Exit(1)
-		}
+	// The check runs through the checker's one guarded entry point (the
+	// same as /v1/check): a panic or an exhausted -budget fails the run
+	// with a ledger entry instead of printing partial results. -v renders
+	// from the analysis result, which a check outcome stored on disk does
+	// not carry, so -v with -cache-dir checks without the store.
+	opts := core.Options{BudgetSteps: *budget, Metrics: run.Reg, Workers: workers, Artifacts: store}
+	if *verbose && store.Dir() != "" {
+		opts.Artifacts = nil
 	}
-	violations := rules.CheckPoolCtx(tctx, res, ctx, ruleSet, pool)
-	sp.End()
+	out, err := core.NewChecker(ruleSet, opts).CheckRequest(tctx, sources, ctx, why.On())
 	std.Trace().Dump(os.Stderr, troot)
-	run.Reg.Counter("checker.rules_evaluated").Add(int64(len(ruleSet)))
-	run.Reg.Counter("checker.violations").Add(int64(len(violations)))
-
+	if err != nil {
+		ledger.Record(resilience.NewEntry("check", resilience.PhaseAnalyze, err))
+		fmt.Fprint(os.Stderr, ledger.Report())
+		fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
+		run.Flush(ledger, true)
+		os.Exit(1)
+	}
+	violations, res := out.Violations, out.Result
 	if why.On() {
-		// Witness mode: violations sort by source location and each carries
-		// its reconstructed trace. Takes precedence over -q/-v rendering.
-		sorted := report.SortViolations(violations, res)
-		traces := witness.Collect(sorted, res, ctx)
-		witness.Observe(run.Reg, traces)
+		// Witness mode: violations come sorted by source location, each
+		// with its reconstructed trace. Takes precedence over -q/-v
+		// rendering.
 		if why == cliutil.WhyJSON {
-			fmt.Print(witness.JSON(traces))
+			fmt.Print(witness.JSON(out.Traces))
 		} else {
-			fmt.Print(witness.Render(traces))
+			fmt.Print(witness.Render(out.Traces))
 		}
 	} else {
 		for _, v := range violations {

@@ -85,6 +85,9 @@ func main() {
 
 	switch {
 	case *oldFile != "" && *newFile != "":
+		if why == cliutil.WhyJSON && (*showDiff || *dot) {
+			cliutil.UsageError("diffcode", "-why=json prints one JSON object; it cannot be combined with -patch or -dot")
+		}
 		runSingle(tctx, run, *oldFile, *newFile, classes, opts, *showDiff, *dot, why, activeRules)
 	case *corpusDir != "":
 		if why.On() {
@@ -129,28 +132,24 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 		run.Flush(d.Ledger(), true)
 		os.Exit(1)
 	}
-	any := false
+	found := []usageChange{}
 	for _, cls := range classes {
 		for _, c := range d.ExtractClass(a, cls) {
-			if c.IsSame() {
-				continue
+			if !c.IsSame() {
+				found = append(found, usageChange{Class: cls, Label: c.Label(), Text: c.String()})
 			}
-			any = true
-			label := "semantic change"
-			switch {
-			case c.IsAddOnly():
-				label = "new usage added"
-			case c.IsRemoveOnly():
-				label = "usage removed"
-			}
-			fmt.Printf("%s (%s):\n%s\n", cls, label, c.String())
 		}
 	}
-	if !any {
-		fmt.Println("no semantic usage changes (refactoring or unrelated change)")
+	if why != cliutil.WhyJSON {
+		for _, c := range found {
+			fmt.Printf("%s (%s):\n%s\n", c.Class, c.Label, c.Text)
+		}
+		if len(found) == 0 {
+			fmt.Println("no semantic usage changes (refactoring or unrelated change)")
+		}
 	}
 	if why.On() {
-		if err := printWhy(tctx, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules); err != nil {
+		if err := printWhy(tctx, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules, found); err != nil {
 			fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
 			run.Flush(d.Ledger(), true)
 			os.Exit(1)
@@ -159,11 +158,20 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 	run.Flush(d.Ledger(), false)
 }
 
+// usageChange is one non-empty usage change of single-change mode, in the
+// shape /v1/analyze returns it; -why=json prints them as usage_changes.
+type usageChange struct {
+	Class string `json:"class"`
+	Label string `json:"label"`
+	Text  string `json:"text"`
+}
+
 // printWhy checks both versions of the change against the active rule set
 // (the built-ins, plus any -rules packs) and prints witness traces for the
 // violations the change fixed (old version only) and introduced (new
-// version only).
-func printWhy(tctx context.Context, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) error {
+// version only). With -why=json it prints one JSON object holding the
+// usage changes and both trace arrays.
+func printWhy(tctx context.Context, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule, found []usageChange) error {
 	checker := core.NewChecker(activeRules, opts)
 	oldOut, err := checker.CheckRequest(tctx, map[string]string{oldPath: oldSrc}, rules.Context{}, true)
 	if err != nil {
@@ -179,9 +187,10 @@ func printWhy(tctx context.Context, oldPath, oldSrc, newPath, newSrc string, opt
 	introduced := filterTraces(newOut.Traces, func(id string) bool { return !oldIDs[id] })
 	if why == cliutil.WhyJSON {
 		out := struct {
-			Fixed      []witness.Trace `json:"fixed"`
-			Introduced []witness.Trace `json:"introduced"`
-		}{fixed, introduced}
+			UsageChanges []usageChange   `json:"usage_changes"`
+			Fixed        []witness.Trace `json:"fixed"`
+			Introduced   []witness.Trace `json:"introduced"`
+		}{found, fixed, introduced}
 		b, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			return err

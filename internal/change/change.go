@@ -42,6 +42,19 @@ func (c *UsageChange) IsAddOnly() bool { return len(c.Removed) == 0 && len(c.Add
 // deleted).
 func (c *UsageChange) IsRemoveOnly() bool { return len(c.Added) == 0 && len(c.Removed) > 0 }
 
+// Label names what the change does to the usage, as the single-change
+// reports print it: "new usage added" (fadd), "usage removed" (frem), or
+// "semantic change".
+func (c *UsageChange) Label() string {
+	switch {
+	case c.IsAddOnly():
+		return "new usage added"
+	case c.IsRemoveOnly():
+		return "usage removed"
+	}
+	return "semantic change"
+}
+
 // Key returns a canonical identity for duplicate detection (fdup): the
 // sorted F− and F+ path sets.
 func (c *UsageChange) Key() string {
@@ -92,36 +105,26 @@ func Shortest(paths []usage.Path) []usage.Path {
 
 // Diff computes the usage change between two DAGs:
 // F− = Shortest(Paths(G1) \ Paths(G2)), F+ = Shortest(Paths(G2) \ Paths(G1)).
+// Both sides are empty exactly when the path sets are equal, which the
+// graphs' path keys decide without computing either difference.
 func Diff(g1, g2 *usage.Graph) (removed, added []usage.Path) {
-	p1, p2 := g1.Paths(), g2.Paths()
-	set1 := map[string]bool{}
-	for _, p := range p1 {
-		set1[p.Key()] = true
+	if usage.SamePaths(g1, g2) {
+		return nil, nil
 	}
-	set2 := map[string]bool{}
-	for _, p := range p2 {
-		set2[p.Key()] = true
-	}
-	var only1, only2 []usage.Path
-	for _, p := range p1 {
-		if !set2[p.Key()] {
-			only1 = append(only1, p)
-		}
-	}
-	for _, p := range p2 {
-		if !set1[p.Key()] {
-			only2 = append(only2, p)
-		}
-	}
-	return Shortest(only1), Shortest(only2)
+	return Shortest(g1.Minus(g2)), Shortest(g2.Minus(g1))
 }
 
 // Extract derives all usage changes of one target class between two program
 // versions: build the DAGs of both versions, pair them by minimum summed
 // distance, and diff each pair (Figure 4).
 func Extract(oldRes, newRes *analysis.Result, class string, depth int, meta Meta) []UsageChange {
-	oldGs := usage.BuildAll(oldRes, class, depth)
-	newGs := usage.BuildAll(newRes, class, depth)
+	return ExtractGraphs(usage.BuildAll(oldRes, class, depth), usage.BuildAll(newRes, class, depth), class, meta)
+}
+
+// ExtractGraphs is Extract over the already built DAGs of both versions. It
+// only reads the graphs, so one version's DAGs can serve every change that
+// shares the version, concurrently.
+func ExtractGraphs(oldGs, newGs []*usage.Graph, class string, meta Meta) []UsageChange {
 	pairs := usage.Pair(oldGs, newGs, class)
 	out := make([]UsageChange, 0, len(pairs))
 	for _, pr := range pairs {

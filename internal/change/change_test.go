@@ -282,3 +282,60 @@ class A {
 		t.Errorf("dedup failed: %d survivors", len(out))
 	}
 }
+
+// sameNodes{Old,New} use the same nodes — getInstance, init, getOutputSize
+// and the int arguments 1 and 2 — but swap which method each int hangs
+// under, so the DAGs differ only in their edges.
+const sameNodesOld = `
+class A {
+    void m(Key k) throws Exception {
+        Cipher c = Cipher.getInstance("AES");
+        c.init(1, k);
+        c.getOutputSize(2);
+    }
+}
+`
+
+const sameNodesNew = `
+class A {
+    void m(Key k) throws Exception {
+        Cipher c = Cipher.getInstance("AES");
+        c.init(2, k);
+        c.getOutputSize(1);
+    }
+}
+`
+
+// TestDifferentialDiffSameNodesDifferentEdges: Diff's equal-paths shortcut is keyed on
+// path sets, so it must not fire on two DAGs that Pair matches at distance
+// 0 (equal node sets) but whose edges differ.
+func TestDifferentialDiffSameNodesDifferentEdges(t *testing.T) {
+	oldGs := usage.BuildAll(analyze(t, sameNodesOld), cryptoapi.Cipher, 0)
+	newGs := usage.BuildAll(analyze(t, sameNodesNew), cryptoapi.Cipher, 0)
+	if len(oldGs) != 1 || len(newGs) != 1 {
+		t.Fatalf("graphs = %d/%d, want 1/1", len(oldGs), len(newGs))
+	}
+	g1, g2 := oldGs[0], newGs[0]
+	if d := usage.Dist(g1, g2); d != 0 {
+		t.Fatalf("node-set distance = %v, want 0 (same nodes)", d)
+	}
+	if usage.SamePaths(g1, g2) {
+		t.Fatal("SamePaths reports equal path sets for DAGs with different edges")
+	}
+	changes := Extract(analyze(t, sameNodesOld), analyze(t, sameNodesNew), cryptoapi.Cipher, 0, Meta{})
+	if len(changes) != 1 {
+		t.Fatalf("changes = %d, want 1", len(changes))
+	}
+	wantRemoved := []string{"Cipher init arg1:1", "Cipher getOutputSize arg1:2"}
+	wantAdded := []string{"Cipher init arg1:2", "Cipher getOutputSize arg1:1"}
+	c := changes[0]
+	if got := renderPaths(c.Removed); !sameSet(got, wantRemoved) {
+		t.Errorf("removed = %v, want %v", got, wantRemoved)
+	}
+	if got := renderPaths(c.Added); !sameSet(got, wantAdded) {
+		t.Errorf("added = %v, want %v", got, wantAdded)
+	}
+	if rem, add := Diff(g1, g1); rem != nil || add != nil {
+		t.Errorf("Diff(G, G) = %v, %v, want empty", rem, add)
+	}
+}

@@ -485,12 +485,14 @@ func (d *DiffCode) AnalyzeAll(tctx context.Context, ccs []mining.CodeChange) []*
 // ExtractClass derives the usage changes of one target class from an
 // analyzed change. A change that resolved through the artifact store
 // instantiates its cached extraction (stamping this change's meta);
-// otherwise the extraction runs live on the analysis results.
+// otherwise the extraction builds both versions' usage DAGs and runs live
+// on the analysis results.
 func (d *DiffCode) ExtractClass(a *AnalyzedChange, class string) []change.UsageChange {
 	d.opts.Metrics.Counter("extract.runs").Inc()
 	if a.art != nil {
 		return a.art.instantiate(class, a.Meta)
 	}
+	d.opts.Metrics.Counter("extract.dag_builds").Add(2)
 	return change.Extract(a.Old, a.New, class, d.opts.Depth, a.Meta)
 }
 
@@ -547,23 +549,7 @@ func (d *DiffCode) runClass(ctx context.Context, analyzed []*AnalyzedChange, cla
 	_, xsp := trace.Start(ctx, "extract")
 	xsp.SetAttr("class", class)
 	esp := reg.StartSpanTask("extract", class)
-	type extraction struct {
-		ucs  []change.UsageChange
-		task string
-		err  error
-	}
-	xs := parallel.Map(d.opts.pool(), context.Background(), len(analyzed), func(i int) (x extraction) {
-		a := analyzed[i]
-		if a == nil || !a.UsesClass(class) {
-			return x
-		}
-		x.task = fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
-		x.err = resilience.Guard(x.task, func() error {
-			x.ucs = d.ExtractClass(a, class)
-			return nil
-		})
-		return x
-	})
+	xs := d.extractClass(analyzed, class)
 	// Fan-in in index order: the usage changes and the ledger entries come
 	// out as the serial loop produced them, at any worker count.
 	for i, x := range xs {
@@ -587,6 +573,114 @@ func (d *DiffCode) runClass(ctx context.Context, analyzed []*AnalyzedChange, cla
 	reg.Counter("filter.usage_changes").Add(int64(stats.Total))
 	reg.Counter("filter.survivors").Add(int64(len(kept)))
 	return ClassPipelineResult{Class: class, Stats: stats, Survivors: kept}, all, ends
+}
+
+// extractWindow is how many consecutive changes of a class pass share one
+// generation of usage-DAG sets. Consecutive changes of a file share
+// versions, so a window sees most of its reuse inside itself or from the
+// window before; bounding the generation bounds the DAGs alive at once.
+const extractWindow = 256
+
+// extraction is one change's outcome in a class pass: its usage changes,
+// or the failure its guard recorded under task.
+type extraction struct {
+	ucs  []change.UsageChange
+	task string
+	err  error
+}
+
+// dagSet is the usage DAGs of one analysis result for the class of a pass;
+// ok is false when building them failed.
+type dagSet struct {
+	gs []*usage.Graph
+	ok bool
+}
+
+// extractClass extracts one class from every analyzed change, slot i for
+// analyzed[i]. Results are shared by pointer between changes (the old
+// version of a change is the new version of the one before), so the pass
+// builds each distinct result's DAGs once and pairs and diffs every change
+// from the shared sets. It walks the changes in index-ordered windows: each
+// window builds the sets of the results it needs that the window before did
+// not have, in parallel, then fans out its changes; sets older than the
+// previous window are dropped. A build that panics leaves its set failed,
+// and each change needing it falls back to live extraction under its own
+// guard, so failures are recorded per change exactly as without sharing.
+// Changes resolved through the artifact store instantiate from it.
+func (d *DiffCode) extractClass(analyzed []*AnalyzedChange, class string) []extraction {
+	// build is one new result of a window, with the guard task of its
+	// build: the first change needing it, and which version.
+	type build struct {
+		res  *analysis.Result
+		task string
+	}
+	pool := d.opts.pool()
+	xs := make([]extraction, len(analyzed))
+	var prev map[*analysis.Result]*dagSet
+	for lo := 0; lo < len(analyzed); lo += extractWindow {
+		win := analyzed[lo:min(lo+extractWindow, len(analyzed))]
+		sets := make(map[*analysis.Result]*dagSet, len(win)+1)
+		var fresh []build
+		for _, a := range win {
+			if a == nil || a.art != nil || !a.UsesClass(class) {
+				continue
+			}
+			for v, res := range [2]*analysis.Result{a.Old, a.New} {
+				if sets[res] != nil {
+					continue
+				}
+				if s := prev[res]; s != nil {
+					sets[res] = s
+					continue
+				}
+				sets[res] = &dagSet{}
+				fresh = append(fresh, build{res, extractTask(a, class) + [2]string{" [old]", " [new]"}[v]})
+			}
+		}
+		pool.ForEach(context.Background(), len(fresh), func(i int) {
+			f := fresh[i]
+			s := sets[f.res]
+			// A failed build is not recorded: the changes needing the set
+			// fall back to live extraction, which records their failures.
+			_ = resilience.Guard(f.task, func() error {
+				s.gs = usage.BuildAll(f.res, class, d.opts.Depth)
+				s.ok = true
+				return nil
+			})
+		})
+		if len(fresh) > 0 {
+			d.opts.Metrics.Counter("extract.dag_builds").Add(int64(len(fresh)))
+		}
+		pool.ForEach(context.Background(), len(win), func(j int) {
+			xs[lo+j] = d.extractShared(win[j], class, sets)
+		})
+		prev = sets
+	}
+	return xs
+}
+
+// extractShared extracts one change of a class pass from the pass's shared
+// DAG sets, under the change's own guard.
+func (d *DiffCode) extractShared(a *AnalyzedChange, class string, sets map[*analysis.Result]*dagSet) (x extraction) {
+	if a == nil || !a.UsesClass(class) {
+		return x
+	}
+	x.task = extractTask(a, class)
+	x.err = resilience.Guard(x.task, func() error {
+		if a.art == nil && sets[a.Old].ok && sets[a.New].ok {
+			d.opts.Metrics.Counter("extract.runs").Inc()
+			x.ucs = change.ExtractGraphs(sets[a.Old].gs, sets[a.New].gs, class, a.Meta)
+		} else {
+			x.ucs = d.ExtractClass(a, class)
+		}
+		return nil
+	})
+	return x
+}
+
+// extractTask renders the ledger/guard identity of one change's extraction.
+func extractTask(a *AnalyzedChange, class string) string {
+	return "extract " + class + " " + a.Meta.Project + "@" + a.Meta.Commit + ":" + a.Meta.File
 }
 
 // ClusterChanges builds the dendrogram over semantic usage changes

@@ -77,6 +77,9 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"  analysis.changes_analyzed                         2",
 		"  analysis.runs                                     2",
 		"  analysis.steps                                   16",
+		// Both changes share their two results, so the class pass builds
+		// each result's DAG set once.
+		"  extract.dag_builds                                2",
 		"  extract.runs                                      2",
 		"  extract.usage_changes                             2",
 		"  filter.survivors                                  1",

@@ -57,10 +57,6 @@ type identSet struct {
 	used map[string]bool
 }
 
-func newIdentSet(seed int64) *identSet {
-	return &identSet{rng: rand.New(rand.NewSource(seed)), used: map[string]bool{}}
-}
-
 // pick returns an unused name from the pool, suffixing on exhaustion.
 func (s *identSet) pick(pool []string) string {
 	for attempt := 0; attempt < 8; attempt++ {

@@ -10,9 +10,17 @@ import (
 // output is a pure function of the spec: refactors (NameSeed) rename
 // identifiers without touching the crypto semantics, unrelated changes
 // (DecoySeed) vary non-crypto helper code, and crypto flags decide what the
-// abstraction ultimately sees.
+// abstraction ultimately sees. The spec records the random draws of each
+// seed on a replay tape (see seedTape), so Render is not safe for
+// concurrent use on one spec.
 func (s *FileSpec) Render() string {
-	ids := newIdentSet(s.NameSeed)
+	return s.render(replay(&s.nameTape, s.NameSeed), replay(&s.decoyTape, s.DecoySeed))
+}
+
+// render is Render over the name and decoy generators, which must yield
+// the draws of sources seeded with NameSeed and DecoySeed.
+func (s *FileSpec) render(names, decoys *rand.Rand) string {
+	ids := &identSet{rng: names, used: map[string]bool{}}
 	w := &javaWriter{}
 	w.line("package %s;", s.Package)
 	w.line("")
@@ -35,10 +43,66 @@ func (s *FileSpec) Render() string {
 	case ArchMixed:
 		s.renderMixed(w, ids)
 	}
-	s.renderDecoys(w, ids)
+	s.renderDecoys(w, ids, decoys)
 	w.line("}")
 	return w.String()
 }
+
+// seedTape records the Int63 draws of a math/rand source seeded with seed,
+// so rendering a spec again under the same NameSeed or DecoySeed replays
+// them instead of seeding a source again (about 10 µs each). When the seed
+// changes the tape restarts, and the draws past its end come from one
+// source re-seeded in place, so a spec allocates the source's 4.9 KB of
+// state once per tape rather than once per render. Copies of a spec share
+// their tapes; a render whose seed differs restarts the shared tape, which
+// is safe because a spec's renders never interleave.
+type seedTape struct {
+	seed  int64
+	drawn []int64
+	// live has made len(drawn) draws since it was seeded with seed when
+	// seeded is set; it is allocated on the first draw past a tape.
+	live   rand.Source
+	seeded bool
+}
+
+// replay returns a generator yielding the draws of
+// rand.New(rand.NewSource(seed)), replayed from the tape at *slot, which
+// is created when missing and restarted when it holds another seed.
+func replay(slot **seedTape, seed int64) *rand.Rand {
+	t := *slot
+	if t == nil {
+		t = &seedTape{seed: seed}
+		*slot = t
+	} else if t.seed != seed {
+		t.seed, t.drawn, t.seeded = seed, t.drawn[:0], false
+	}
+	return rand.New(&tapeReader{tape: t})
+}
+
+// tapeReader is one render's cursor over a seedTape.
+type tapeReader struct {
+	tape *seedTape
+	pos  int
+}
+
+func (r *tapeReader) Int63() int64 {
+	t := r.tape
+	if r.pos == len(t.drawn) {
+		switch {
+		case t.live == nil:
+			t.live = rand.NewSource(t.seed)
+		case !t.seeded:
+			t.live.Seed(t.seed)
+		}
+		t.seeded = true
+		t.drawn = append(t.drawn, t.live.Int63())
+	}
+	r.pos++
+	return t.drawn[r.pos-1]
+}
+
+// Seed is never called: a tape replays one seed.
+func (r *tapeReader) Seed(int64) { panic("corpus: a seed tape cannot be re-seeded") }
 
 func (s *FileSpec) imports() []string {
 	set := map[string]bool{}
@@ -356,9 +420,8 @@ func (s *FileSpec) renderMixed(w *javaWriter, ids *identSet) {
 }
 
 // renderDecoys emits non-crypto helper code whose content varies with
-// DecoySeed; unrelated commits touch only this section.
-func (s *FileSpec) renderDecoys(w *javaWriter, ids *identSet) {
-	rng := rand.New(rand.NewSource(s.DecoySeed))
+// DecoySeed (drawn from rng); unrelated commits touch only this section.
+func (s *FileSpec) renderDecoys(w *javaWriter, ids *identSet, rng *rand.Rand) {
 	w.line("")
 	bufSizes := []int{1024, 2048, 4096, 8192, 16384}
 	w.line("    private static final int CHUNK = %d;", bufSizes[rng.Intn(len(bufSizes))])

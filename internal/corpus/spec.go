@@ -64,6 +64,10 @@ type FileSpec struct {
 	PBEIter   int
 	SaltConst bool
 	TwoKeys   bool
+
+	// nameTape and decoyTape replay the draws of NameSeed and DecoySeed
+	// across renders.
+	nameTape, decoyTape *seedTape
 }
 
 // Path returns the stable repository path of the file.

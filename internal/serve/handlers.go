@@ -457,14 +457,7 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 				if uc.IsSame() {
 					continue
 				}
-				label := "semantic change"
-				switch {
-				case uc.IsAddOnly():
-					label = "new usage added"
-				case uc.IsRemoveOnly():
-					label = "usage removed"
-				}
-				res.UsageChanges = append(res.UsageChanges, UsageChange{Class: cls, Label: label, Text: uc.String()})
+				res.UsageChanges = append(res.UsageChanges, UsageChange{Class: cls, Label: uc.Label(), Text: uc.String()})
 			}
 		}
 		resp.Results = append(resp.Results, res)

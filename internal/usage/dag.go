@@ -11,7 +11,8 @@
 package usage
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/absdom"
@@ -31,53 +32,51 @@ type Graph struct {
 	// graphs used during pairing).
 	Obj *absdom.AObj
 
-	nodes  map[string]bool
-	labels map[string]string   // node key → path-element label
+	labels map[string]string   // node key → path-element label; the node set
 	edges  map[string][]string // parent key → ordered child keys
-	edgeIn map[string]map[string]bool
+
+	// paths are the root paths in Paths order and keys their Key, one per
+	// path; sorted holds the same keys in ascending order. seal computes
+	// all three once the graph is complete, so a built graph is read-only
+	// and one graph can be paired and diffed by many changes at once.
+	paths  []Path
+	keys   []string
+	sorted []string
 }
 
 // NewRootOnly returns the padding graph G = ({r}, ∅, r) whose root is
 // labeled with the type t (paper §3.5, pairing versions with unequal DAG
 // counts).
 func NewRootOnly(typ string) *Graph {
-	g := newGraph(typ)
-	return g
+	return newGraph(typ).seal()
 }
 
 func newGraph(typ string) *Graph {
 	g := &Graph{
 		Root:   "T|" + typ,
 		Type:   typ,
-		nodes:  map[string]bool{},
 		labels: map[string]string{},
 		edges:  map[string][]string{},
-		edgeIn: map[string]map[string]bool{},
 	}
 	g.addNode(g.Root, typ)
 	return g
 }
 
 func (g *Graph) addNode(key, label string) {
-	if !g.nodes[key] {
-		g.nodes[key] = true
+	if _, ok := g.labels[key]; !ok {
 		g.labels[key] = label
 	}
 }
 
 func (g *Graph) addEdge(from, to string) {
-	in := g.edgeIn[from]
-	if in == nil {
-		in = map[string]bool{}
-		g.edgeIn[from] = in
-	}
-	if in[to] {
+	if slices.Contains(g.edges[from], to) {
 		return
 	}
-	if g.reaches(to, from) {
-		return // would introduce a cycle (paper §3.4 step 2)
+	// The edge would close a cycle (paper §3.4 step 2) if to reaches from.
+	// A node without out-edges reaches only itself, so it needs no search.
+	if to == from || (len(g.edges[to]) > 0 && g.reaches(to, from)) {
+		return
 	}
-	in[to] = true
 	g.edges[from] = append(g.edges[from], to)
 }
 
@@ -104,10 +103,16 @@ func (g *Graph) reaches(from, to string) bool {
 }
 
 // NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
+func (g *Graph) NodeCount() int { return len(g.labels) }
 
-// NodeSet returns the set of node keys.
-func (g *Graph) NodeSet() map[string]bool { return g.nodes }
+// NodeSet returns the set of node keys, as a new map.
+func (g *Graph) NodeSet() map[string]bool {
+	set := make(map[string]bool, len(g.labels))
+	for k := range g.labels {
+		set[k] = true
+	}
+	return set
+}
 
 // Children returns the ordered child keys of a node.
 func (g *Graph) Children(key string) []string { return g.edges[key] }
@@ -146,7 +151,7 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 			}
 			for i, a := range ev.Args {
 				lbl := argLabel(i+1, a)
-				aKey := "A|" + fmt.Sprint(i+1) + "|" + argValueLabel(a)
+				aKey := "A|" + strconv.Itoa(i+1) + "|" + argValueLabel(a)
 				g.addNode(aKey, lbl)
 				g.addEdge(mKey, aKey)
 				// Recursively expand known abstract objects (not ⊤obj).
@@ -162,7 +167,7 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 			}
 		}
 	}
-	return g
+	return g.seal()
 }
 
 // BuildAll constructs the DAGs for all abstract objects of the given type.
@@ -193,7 +198,7 @@ func argValueLabel(a absdom.Value) string {
 // argLabel renders an argument node's path-element label, e.g.
 // `arg1:"AES"` or `arg3:IvParameterSpec`.
 func argLabel(i int, a absdom.Value) string {
-	return fmt.Sprintf("arg%d:%s", i, argValueLabel(a))
+	return "arg" + strconv.Itoa(i) + ":" + argValueLabel(a)
 }
 
 // ---------------------------------------------------------------------------
@@ -250,24 +255,48 @@ func (p Path) IsPrefixOf(q Path) bool {
 	return true
 }
 
-// Paths enumerates every root-originating path of the graph (to every node,
-// not only maximal ones), deduplicated, in deterministic order.
-func (g *Graph) Paths() []Path {
+// Paths returns every root-originating path of the graph (to every node,
+// not only maximal ones), deduplicated, in deterministic order. The paths
+// are enumerated once, when the graph is built; callers must not modify
+// them.
+func (g *Graph) Paths() []Path { return g.paths }
+
+// SamePaths reports whether g and h have the same set of root paths —
+// exactly when Diff(g, h) is empty. It compares the sorted path keys both
+// graphs computed when they were built. Node sets are not enough: two DAGs
+// over the same nodes can differ in their edges.
+func SamePaths(g, h *Graph) bool { return slices.Equal(g.sorted, h.sorted) }
+
+// Minus returns the paths of g that h does not have, in g's path order.
+func (g *Graph) Minus(h *Graph) []Path {
 	var out []Path
+	for i, p := range g.paths {
+		if _, found := slices.BinarySearch(h.sorted, g.keys[i]); !found {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// seal enumerates the finished graph's root paths and their keys.
+func (g *Graph) seal() *Graph {
 	seen := map[string]bool{}
 	var walk func(key string, cur Path)
 	walk = func(key string, cur Path) {
 		next := append(append(Path{}, cur...), g.labels[key])
 		if k := next.Key(); !seen[k] {
 			seen[k] = true
-			out = append(out, next)
+			g.paths = append(g.paths, next)
+			g.keys = append(g.keys, k)
 		}
 		for _, c := range g.edges[key] {
 			walk(c, next)
 		}
 	}
 	walk(g.Root, nil)
-	return out
+	g.sorted = slices.Clone(g.keys)
+	slices.Sort(g.sorted)
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -278,12 +307,12 @@ func (g *Graph) Paths() []Path {
 // dist(G1, G2) = 1 − |N1 ∩ N2| / |N1 ∪ N2|.
 func Dist(g1, g2 *Graph) float64 {
 	inter := 0
-	for k := range g1.nodes {
-		if g2.nodes[k] {
+	for k := range g1.labels {
+		if _, ok := g2.labels[k]; ok {
 			inter++
 		}
 	}
-	union := len(g1.nodes) + len(g2.nodes) - inter
+	union := len(g1.labels) + len(g2.labels) - inter
 	if union == 0 {
 		return 0
 	}

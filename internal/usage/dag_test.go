@@ -1,7 +1,10 @@
 package usage
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,5 +338,97 @@ func TestDOTExport(t *testing.T) {
 	// Deterministic output.
 	if g.DOT("enc") != dot {
 		t.Error("DOT rendering not deterministic")
+	}
+}
+
+// refAddEdge is addEdge with a set of seen edges and the cycle search run
+// on every insertion.
+func refAddEdge(g *Graph, seen map[[2]string]bool, from, to string) {
+	if seen[[2]string{from, to}] || g.reaches(to, from) {
+		return
+	}
+	seen[[2]string{from, to}] = true
+	g.edges[from] = append(g.edges[from], to)
+}
+
+// refPathSet is the set of path keys of a graph, enumerated afresh.
+func refPathSet(g *Graph) map[string]bool {
+	set := map[string]bool{}
+	var walk func(key string, cur Path)
+	walk = func(key string, cur Path) {
+		next := append(append(Path{}, cur...), g.labels[key])
+		set[next.Key()] = true
+		for _, c := range g.edges[key] {
+			walk(c, next)
+		}
+	}
+	walk(g.Root, nil)
+	return set
+}
+
+// TestDifferentialGraphShortcuts checks the graph's fast paths on random
+// DAGs over a small label alphabet (so distinct nodes share labels and
+// paths collide): addEdge's skipped cycle search must keep exactly the
+// edges of the always-searching reference, and SamePaths and Minus, which
+// read the keys sealed at build time, must agree with path sets enumerated
+// afresh — including on pairs with equal node sets and different edges.
+func TestDifferentialGraphShortcuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var gs []*Graph
+	for iter := 0; iter < 400; iter++ {
+		g, ref, seen := newGraph("T"), newGraph("T"), map[[2]string]bool{}
+		nodes := []string{g.Root}
+		n := 2 + rng.Intn(6)
+		for i := 1; i < n; i++ {
+			k, label := fmt.Sprintf("N|%d", i), fmt.Sprintf("l%d", rng.Intn(3))
+			g.addNode(k, label)
+			ref.addNode(k, label)
+			nodes = append(nodes, k)
+		}
+		for e := 0; e < 3*len(nodes); e++ {
+			from, to := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+			g.addEdge(from, to)
+			refAddEdge(ref, seen, from, to)
+		}
+		if !reflect.DeepEqual(g.edges, ref.edges) {
+			t.Fatalf("graph %d: edges %v, want %v", iter, g.edges, ref.edges)
+		}
+		gs = append(gs, g.seal())
+	}
+	sameNodes, differentPaths := 0, 0
+	for i, g := range gs {
+		gSet := refPathSet(g)
+		if len(gSet) != len(g.Paths()) {
+			t.Fatalf("graph %d: %d paths, want %d", i, len(g.Paths()), len(gSet))
+		}
+		for j, h := range gs[max(0, i-20) : i+1] {
+			hSet := refPathSet(h)
+			if got, want := SamePaths(g, h), reflect.DeepEqual(gSet, hSet); got != want {
+				t.Fatalf("graphs %d/%d: SamePaths = %v, want %v", i, j, got, want)
+			}
+			for _, p := range g.Minus(h) {
+				if hSet[p.Key()] {
+					t.Fatalf("graphs %d/%d: Minus kept shared path %v", i, j, p)
+				}
+			}
+			kept := len(g.Minus(h))
+			for k := range gSet {
+				if !hSet[k] {
+					kept--
+				}
+			}
+			if kept != 0 {
+				t.Fatalf("graphs %d/%d: Minus is off by %d paths", i, j, kept)
+			}
+			if Dist(g, h) == 0 {
+				sameNodes++
+				if !SamePaths(g, h) {
+					differentPaths++
+				}
+			}
+		}
+	}
+	if differentPaths == 0 {
+		t.Errorf("no pair with equal node sets and different paths among %d equal-node pairs", sameNodes)
 	}
 }

@@ -14,8 +14,8 @@ func (g *Graph) DOT(name string) string {
 	fmt.Fprintf(&sb, "digraph %q {\n", name)
 	sb.WriteString("  rankdir=TB;\n  node [fontname=\"Helvetica\"];\n")
 	ids := map[string]string{}
-	keys := make([]string, 0, len(g.nodes))
-	for k := range g.nodes {
+	keys := make([]string, 0, len(g.labels))
+	for k := range g.labels {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
